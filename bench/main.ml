@@ -686,8 +686,55 @@ let micro () =
    (docs/INTERNALS.md "Hot path"), reported as rates so CI can spot a
    regression at a glance. Results land in the JSON artifact. *)
 
+(* The emulator in recording mode with nothing downstream: a real
+   predictor, every misprediction repaired as soon as its event arrives,
+   lQ/sQ drained after each event. Returns the instructions executed,
+   wrong paths included. *)
+let emu_record_run prog =
+  let e = Emu.Emulator.create ~predictor:(Bpred.standard ~prog ()) prog in
+  let rec loop () =
+    for _ = 1 to Emu.Emulator.loads_pending e do
+      ignore (Emu.Emulator.pop_load e : Emu.Emulator.load_rec)
+    done;
+    for _ = 1 to Emu.Emulator.stores_pending e do
+      ignore (Emu.Emulator.pop_store e : Emu.Emulator.store_rec)
+    done;
+    match Emu.Emulator.next_event e with
+    | Emu.Emulator.Halted _ -> ()
+    | Emu.Emulator.Cond { taken; predicted_taken; _ }
+      when taken <> predicted_taken ->
+      ignore (Emu.Emulator.rollback_to e ~index:0 : int);
+      loop ()
+    | Emu.Emulator.Wedged _ ->
+      ignore (Emu.Emulator.rollback_to e ~index:0 : int);
+      loop ()
+    | _ -> loop ()
+  in
+  loop ();
+  Emu.Emulator.insts_executed e + Emu.Emulator.wrong_path_insts e
+
+(* Functional-emulator throughput over the whole kernel suite, plain
+   (Table 2's "native" baseline) and recording (what FastSim's emulation
+   phase runs), in millions of instructions per second. *)
+let emu_rates () =
+  let plain_n = ref 0 and plain_s = ref 0. in
+  let rec_n = ref 0 and rec_s = ref 0. in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let prog = w.build (scale_of w) in
+      let (_, _, n), dt = time_best (fun () -> Emu.Emulator.run_functional prog) in
+      plain_n := !plain_n + n;
+      plain_s := !plain_s +. dt;
+      let n, dt = time_best (fun () -> emu_record_run prog) in
+      rec_n := !rec_n + n;
+      rec_s := !rec_s +. dt)
+    Workloads.Suite.all;
+  ( float_of_int !plain_n /. !plain_s /. 1e6,
+    float_of_int !rec_n /. !rec_s /. 1e6 )
+
 let hotpath () =
   header "Hot path: zero-allocation interning and warm replay throughput";
+  let emu_plain, emu_record = emu_rates () in
   let prog = (Workloads.Suite.find "go").build 2 in
   let uarch = busy_uarch prog in
   let pcache = Memo.Pcache.create () in
@@ -770,6 +817,9 @@ let hotpath () =
       v4_bytes := !v4_bytes + size Memo.Persist.Codec.current;
       v3_bytes := !v3_bytes + size Memo.Persist.Codec.v3)
     Workloads.Suite.all;
+  Printf.printf "emulator (plain):       %14.1f Minst/s\n" emu_plain;
+  Printf.printf "emulator (recording):   %14.1f Minst/s (%.2fx plain)\n"
+    emu_record (emu_record /. emu_plain);
   Printf.printf "encode+lookup (arena):  %14.0f ops/s\n" encode_lookup;
   Printf.printf "encode+intern (string): %14.0f ops/s\n" string_intern;
   Printf.printf "warm replay:            %14.0f groups/s  (%d groups, %.3f s)\n"
@@ -780,7 +830,9 @@ let hotpath () =
     !v4_bytes !v3_bytes
     (float_of_int !v4_bytes /. float_of_int (max 1 !v3_bytes));
   hotpath_stats :=
-    [ ("encode_lookup_ops_per_sec", encode_lookup);
+    [ ("emu_functional_minst_per_s", emu_plain);
+      ("emu_record_minst_per_s", emu_record);
+      ("encode_lookup_ops_per_sec", encode_lookup);
       ("string_intern_ops_per_sec", string_intern);
       ("replay_groups_per_sec", replay_rate);
       ("warm_replay_groups_per_s", warm_replay_rate);

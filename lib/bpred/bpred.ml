@@ -15,7 +15,10 @@ module Twobit = struct
   let train t ~pc ~taken =
     let i = index t pc in
     let c = t.counters.(i) in
-    t.counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1))
+    (* saturating; explicit int tests, since the polymorphic [min]/[max]
+       compile to a runtime compare call *)
+    t.counters.(i) <-
+      (if taken then if c < 3 then c + 1 else 3 else if c > 0 then c - 1 else 0)
 
   let entries t = Array.length t.counters
 end
@@ -50,7 +53,7 @@ module Ras = struct
   let push t addr =
     t.stack.(t.top) <- addr;
     t.top <- (t.top + 1) land (Array.length t.stack - 1);
-    t.size <- min (t.size + 1) (Array.length t.stack)
+    if t.size < Array.length t.stack then t.size <- t.size + 1
 
   let pop t =
     if t.size = 0 then None

@@ -25,9 +25,16 @@ let set_f t r v = Array.unsafe_set t.fregs r v
 let snapshot t =
   { iregs = Array.copy t.iregs; fregs = Array.copy t.fregs; pc = t.pc }
 
+(* Typed loops rather than [Array.blit]: the runtime's blit cannot tell an
+   int array from a pointer array and pays a write barrier per element
+   when the target lives in the major heap, as checkpoint slots do. *)
 let restore t ~from_ =
-  Array.blit from_.iregs 0 t.iregs 0 (Array.length t.iregs);
-  Array.blit from_.fregs 0 t.fregs 0 (Array.length t.fregs);
+  for r = 0 to Array.length t.iregs - 1 do
+    Array.unsafe_set t.iregs r (Array.unsafe_get from_.iregs r)
+  done;
+  for r = 0 to Array.length t.fregs - 1 do
+    Array.unsafe_set t.fregs r (Array.unsafe_get from_.fregs r)
+  done;
   t.pc <- from_.pc
 
 let equal a b =

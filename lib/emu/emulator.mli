@@ -227,3 +227,52 @@ val run_functional_checkpoints :
     instruction (including the final [Halt]). Returns the checkpoints in
     ascending order, the final state, the instruction count, and whether
     the program halted (as opposed to hitting [max_insts]). *)
+
+(** {1 lQ/sQ rings}
+
+    FIFO queues addressed by absolute sequence number.
+
+    The emulator's lQ and sQ are queues whose *producer* end can be rolled
+    back: entries recorded down a mispredicted path must be discarded when
+    the misprediction is repaired, while entries already consumed by the
+    µ-architecture simulator stay consumed. Addressing both ends with
+    monotonically increasing sequence numbers makes that truncation a
+    constant-time pointer move.
+
+    Entries are plain ints held unboxed in a ring, so pushing allocates
+    nothing; the emulator packs each lQ/sQ record into one int. The ring
+    lives in this module so the interpreter's pushes compile inline. *)
+
+module Seq_queue : sig
+  type t
+
+  val create : unit -> t
+
+  val push : t -> int -> unit
+  (** Appends at the tail. *)
+
+  val pop : t -> int
+  (** Removes from the head. Raises [Invalid_argument] when empty. *)
+
+  val peek : t -> int option
+
+  val length : t -> int
+
+  val head_seq : t -> int
+  (** Sequence number of the next entry to be popped. *)
+
+  val tail_seq : t -> int
+  (** Sequence number the next pushed entry will receive. *)
+
+  val truncate_to : t -> int -> unit
+  (** [truncate_to q seq] discards entries with sequence number >= [seq].
+      If consumption has already advanced past [seq], the queue simply
+      becomes empty (consumed entries are never restored). *)
+
+  val last : t -> int
+  (** The most recently pushed entry. Raises [Invalid_argument] when no
+      un-consumed entries remain. *)
+
+  val iter : (int -> unit) -> t -> unit
+  (** Iterates over un-consumed entries, head to tail. *)
+end

@@ -1,23 +1,49 @@
-type t = { pages : (int, Bytes.t) Hashtbl.t }
+(* A small direct-mapped page TLB sits in front of the page table: the
+   emulator's loads and stores hit it almost always, so the hash lookup
+   runs once per page switch instead of once per access. Slots are keyed
+   by page number; -1 marks an empty slot. Pages are never removed from
+   [pages], so an entry can never go stale. *)
+type tlb = { keys : int array; slots : Bytes.t array }
+
+type t = { pages : (int, Bytes.t) Hashtbl.t; tlb : tlb }
 
 exception Unaligned of int
 
 let page_bits = 12
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
+let tlb_size = 64
 
-let create () = { pages = Hashtbl.create 64 }
+let create_tlb () =
+  { keys = Array.make tlb_size (-1); slots = Array.make tlb_size Bytes.empty }
+
+let create () = { pages = Hashtbl.create 64; tlb = create_tlb () }
+
+let tlb t = t.tlb
 
 let mask32 a = a land 0xffffffff
 
+let page_miss t addr =
+  let key = addr lsr page_bits in
+  let p =
+    match Hashtbl.find t.pages key with
+    | p -> p
+    | exception Not_found ->
+      let p = Bytes.make page_size '\000' in
+      Hashtbl.add t.pages key p;
+      p
+  in
+  let slot = key land (tlb_size - 1) in
+  t.tlb.keys.(slot) <- key;
+  t.tlb.slots.(slot) <- p;
+  p
+
 let page t addr =
   let key = addr lsr page_bits in
-  match Hashtbl.find_opt t.pages key with
-  | Some p -> p
-  | None ->
-    let p = Bytes.make page_size '\000' in
-    Hashtbl.add t.pages key p;
-    p
+  let slot = key land (tlb_size - 1) in
+  if Array.unsafe_get t.tlb.keys slot = key then
+    Array.unsafe_get t.tlb.slots slot
+  else page_miss t addr
 
 let check_align addr width =
   if addr land (width - 1) <> 0 then raise (Unaligned addr)
@@ -96,7 +122,7 @@ let is_zero_page p =
 let copy t =
   let pages = Hashtbl.create (max 16 (Hashtbl.length t.pages)) in
   Hashtbl.iter (fun k p -> Hashtbl.add pages k (Bytes.copy p)) t.pages;
-  { pages }
+  { pages; tlb = create_tlb () }
 
 (* Canonical page image: sorted by page index, with all-zero pages dropped
    (a demand-created zero page is indistinguishable from an untouched

@@ -47,6 +47,33 @@ val load_program : t -> Isa.Program.t -> unit
 val pages_allocated : t -> int
 (** Number of 4 KiB pages touched so far (for tests/diagnostics). *)
 
+(** {1 Page TLB}
+
+    The emulator's fast path. A direct-mapped cache of [tlb_size] page
+    slots in front of the page table: a hit is two array reads, a miss
+    costs one hash lookup (and creates the page on first touch). Every
+    memory has its own TLB; {!copy} and {!of_pages} start with an empty
+    one, so copies never share cached pages. *)
+
+type tlb = private { keys : int array; slots : Bytes.t array }
+(** Slot [k] holds the page numbered [keys.(k)] ([-1]: empty). *)
+
+val tlb_size : int
+(** Number of TLB slots (a power of two). *)
+
+val page_bits : int
+(** log2 of the page size. *)
+
+val tlb : t -> tlb
+
+val page : t -> int -> Bytes.t
+(** [page m addr] is the 4 KiB page holding the 32-bit address [addr],
+    looked up through the TLB. *)
+
+val page_miss : t -> int -> Bytes.t
+(** The TLB miss path of {!page}: fetches (or creates) the page holding
+    [addr] and installs it in its TLB slot. *)
+
 (** {1 Capture / restore}
 
     Used by the strategy engines (interval-parallel simulation,

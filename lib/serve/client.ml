@@ -38,12 +38,11 @@ let connect ?(retries = 0) ?(retry_delay_s = 0.1) address =
       Error m
     in
     match
-      Proto.write_frame fd
+      Proto.send_frame fd
         (Proto.request_to_json (Proto.Hello { proto = Proto.version }))
     with
-    | exception Unix.Unix_error (e, _, _) ->
-      fail ("hello: " ^ Unix.error_message e)
-    | () -> (
+    | Error m -> fail ("hello: " ^ m)
+    | Ok () -> (
       match Proto.read_frame fd with
       | Error m -> fail ("hello: " ^ m)
       | Ok None -> fail "hello: server closed the connection"
@@ -56,10 +55,7 @@ let connect ?(retries = 0) ?(retry_delay_s = 0.1) address =
         | Ok (Proto.Error { message; _ }) -> fail message
         | Ok _ -> fail "hello: unexpected response")))
 
-let send t req =
-  match Proto.write_frame t.fd (Proto.request_to_json req) with
-  | () -> Ok ()
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+let send t req = Proto.send_frame t.fd (Proto.request_to_json req)
 
 let recv t =
   match Proto.read_frame t.fd with

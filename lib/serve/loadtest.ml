@@ -403,6 +403,8 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
                             (* verification: daemon results vs direct runs,
                                fast cycles vs slow cycles *)
                             let divergent = ref 0 in
+                            (* only workloads some client requested have
+                               daemon results to compare *)
                             List.iter
                               (fun wname ->
                                 let w = Workloads.Suite.find wname in
@@ -423,17 +425,14 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
                                 in
                                 let slow = Sim.run ~engine:`Slow spec prog in
                                 let expect = arch_str fast in
-                                let got =
-                                  Option.value ~default:[]
-                                    (Hashtbl.find_opt seen wname)
-                                in
+                                let got = Hashtbl.find seen wname in
                                 let ok =
-                                  got <> [] && List.for_all (( = ) expect) got
+                                  List.for_all (( = ) expect) got
                                   && fast.Sim.cycles = slow.Sim.cycles
                                   && fast.Sim.retired = slow.Sim.retired
                                 in
                                 if not ok then incr divergent)
-                              cfg.workloads;
+                              (List.filter (Hashtbl.mem seen) cfg.workloads);
                             progress
                               (Printf.sprintf
                                  "verification: %d divergent workload(s)"

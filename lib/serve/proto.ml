@@ -290,18 +290,27 @@ let encode_frame j =
   Bytes.blit_string body 0 b 4 n;
   b
 
+(* Every [Unix_error] but [EINTR] is returned, never raised: a peer
+   that resets the connection is an ordinary outcome at this boundary. *)
 let rec write_all fd b off len =
-  if len > 0 then begin
-    let n =
-      try Unix.write fd b off len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd b (off + n) (len - n)
-  end
+  if len <= 0 then Ok ()
+  else
+    match Unix.write fd b off len with
+    | n -> write_all fd b (off + n) (len - n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b off len
+    | exception Unix.Unix_error (e, fn, _) -> Error (e, fn)
+
+let send_frame fd j =
+  let b = encode_frame j in
+  match write_all fd b 0 (Bytes.length b) with
+  | Ok () -> Ok ()
+  | Error (e, fn) -> Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
 
 let write_frame fd j =
   let b = encode_frame j in
-  write_all fd b 0 (Bytes.length b)
+  match write_all fd b 0 (Bytes.length b) with
+  | Ok () -> ()
+  | Error (e, fn) -> raise (Unix.Unix_error (e, fn, ""))
 
 (* Blocking read of exactly [len] bytes; [`Eof] only when the very first
    byte is missing (a clean close between frames). *)
@@ -314,6 +323,8 @@ let read_exact fd len =
       | 0 -> if off = 0 then Error `Eof else Error `Truncated
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+      | exception Unix.Unix_error (e, fn, _) ->
+        Error (`Io (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
   in
   go 0
 
@@ -327,6 +338,7 @@ let read_frame fd =
   match read_exact fd 4 with
   | Error `Eof -> Ok None
   | Error `Truncated -> Error "EOF inside frame header"
+  | Error (`Io m) -> Error m
   | Ok hdr -> (
     let len = be32 hdr 0 in
     if len > max_frame then
@@ -334,6 +346,7 @@ let read_frame fd =
     else
       match read_exact fd len with
       | Error (`Eof | `Truncated) -> Error "EOF inside frame body"
+      | Error (`Io m) -> Error m
       | Ok body -> (
         match J.of_string (Bytes.to_string body) with
         | j -> Ok (Some j)

@@ -103,12 +103,18 @@ val encode_frame : Fastsim_obs.Json.t -> bytes
     body exceeds {!max_frame}. *)
 
 val write_frame : Unix.file_descr -> Fastsim_obs.Json.t -> unit
-(** Blocking write of one frame (for clients and tests). *)
+(** Blocking write of one frame. Raises [Unix.Unix_error] when the write
+    fails; {!send_frame} is the total form. *)
+
+val send_frame :
+  Unix.file_descr -> Fastsim_obs.Json.t -> (unit, string) result
+(** Blocking write of one frame; every I/O error (a reset or closed peer)
+    is [Error], never an exception. *)
 
 val read_frame : Unix.file_descr -> (Fastsim_obs.Json.t option, string) result
 (** Blocking read of one frame. [Ok None] is a clean EOF at a frame
-    boundary; EOF mid-frame, an oversized length or unparseable JSON is
-    [Error]. *)
+    boundary; EOF mid-frame, an I/O error (a reset peer), an oversized
+    length or unparseable JSON is [Error]. Never raises [Unix_error]. *)
 
 (** Incremental decoder for nonblocking servers: feed raw bytes as they
     arrive, pull complete frames out. *)

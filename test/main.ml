@@ -8,6 +8,7 @@ let () =
       ("memory", Test_memory.suite);
       ("seq-queue", Test_seq_queue.suite);
       ("emulator", Test_emulator.suite);
+      ("emu-ref", Test_emu_reference.suite);
       ("semantics", Test_semantics.suite);
       ("speculation", Test_speculation.suite);
       ("bpred", Test_bpred.suite);

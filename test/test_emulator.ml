@@ -326,6 +326,23 @@ let spec_equals_functional_prop =
       done;
       !ok)
 
+(* The functional core allocates per page touched (and once per run for
+   the decoded program), never per instruction. Deterministic: it counts
+   words allocated, not time. *)
+let test_functional_allocation () =
+  let w = Workloads.Suite.find "compress" in
+  let prog = w.Workloads.Workload.build w.Workloads.Workload.test_scale in
+  let before = Gc.minor_words () in
+  let _, mem, n = Emu.Emulator.run_functional prog in
+  let words = Gc.minor_words () -. before in
+  let per_inst = words /. float_of_int n in
+  if per_inst >= 0.01 then
+    Alcotest.failf
+      "%.0f minor words over %d instructions (%.3f per instruction, %d \
+       pages touched)"
+      words n per_inst
+      (Emu.Memory.pages_allocated mem)
+
 let suite =
   [ Alcotest.test_case "alu ops" `Quick test_alu;
     Alcotest.test_case "wraparound" `Quick test_wraparound;
@@ -341,4 +358,6 @@ let suite =
       test_rollback_restores_registers;
     Alcotest.test_case "wrong-path wedge" `Quick test_wrong_path_wedge;
     Alcotest.test_case "lQ/sQ recording" `Quick test_lq_sq_recording;
+    Alcotest.test_case "functional run allocates per page, not per instruction"
+      `Quick test_functional_allocation;
     QCheck_alcotest.to_alcotest spec_equals_functional_prop ]

@@ -75,6 +75,54 @@ let test_load_program () =
   check Alcotest.int "code word" (Int32.to_int (Isa.Encode.encode Isa.Instr.Nop))
     (Emu.Memory.load32 m prog.Isa.Program.code_base)
 
+(* Every memory has its own page TLB: a copy (by [copy], by a
+   [to_pages]/[of_pages] round trip, or inside an emulator rebuilt by
+   [restore]) must never write through a page cached by the original. *)
+let test_tlb_isolation () =
+  let m = Emu.Memory.create () in
+  Emu.Memory.store32 m 0x1000 1;
+  List.iter
+    (fun (what, c) ->
+      (* warm both TLBs on the same page, then write through each *)
+      check Alcotest.int (what ^ ": copied") 1 (Emu.Memory.load32 c 0x1000);
+      check Alcotest.int (what ^ ": original") 1 (Emu.Memory.load32 m 0x1000);
+      Emu.Memory.store32 c 0x1000 2;
+      check Alcotest.int (what ^ ": original unchanged") 1
+        (Emu.Memory.load32 m 0x1000);
+      Emu.Memory.store32 m 0x1000 3;
+      check Alcotest.int (what ^ ": copy unchanged") 2
+        (Emu.Memory.load32 c 0x1000);
+      Emu.Memory.store32 m 0x1000 1)
+    [ ("copy", Emu.Memory.copy m);
+      ("of_pages", Emu.Memory.of_pages (Emu.Memory.to_pages m)) ];
+  (* capture/restore: run the restored emulator on, and write through its
+     memory directly; the original's memory must not move *)
+  let w = Workloads.Suite.find "compress" in
+  let prog = w.Workloads.Workload.build w.Workloads.Workload.test_scale in
+  let e = Emu.Emulator.create prog in
+  for _ = 1 to 200 do
+    ignore (Emu.Emulator.next_event e : Emu.Emulator.control);
+    if Emu.Emulator.outstanding e > 0 then
+      ignore (Emu.Emulator.rollback_to e ~index:0 : int)
+  done;
+  let before = Emu.Memory.to_pages (Emu.Emulator.memory e) in
+  let e' = Emu.Emulator.restore prog (Emu.Emulator.capture e) in
+  for _ = 1 to 200 do
+    ignore (Emu.Emulator.next_event e' : Emu.Emulator.control);
+    if Emu.Emulator.outstanding e' > 0 then
+      ignore (Emu.Emulator.rollback_to e' ~index:0 : int)
+  done;
+  let mem' = Emu.Emulator.memory e' in
+  check Alcotest.bool "restored emulator stored" true
+    (Emu.Memory.to_pages mem' <> before);
+  Array.iter
+    (fun (page, _) ->
+      let addr = page lsl Emu.Memory.page_bits in
+      Emu.Memory.store32 mem' addr (Emu.Memory.load32 mem' addr + 1))
+    before;
+  check Alcotest.bool "original memory unchanged" true
+    (Emu.Memory.to_pages (Emu.Emulator.memory e) = before)
+
 let roundtrip_prop =
   QCheck.Test.make ~name:"store32/load32 round-trip" ~count:500
     QCheck.(pair (int_bound 0xfffff) int)
@@ -92,4 +140,5 @@ let suite =
     Alcotest.test_case "page boundary" `Quick test_page_boundary;
     Alcotest.test_case "init segment" `Quick test_init_segment;
     Alcotest.test_case "load program" `Quick test_load_program;
+    Alcotest.test_case "TLB isolation" `Quick test_tlb_isolation;
     QCheck_alcotest.to_alcotest roundtrip_prop ]

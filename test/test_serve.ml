@@ -1352,6 +1352,25 @@ let test_fleet_domain_transport () =
           Alcotest.(check bool) "repeat is warm" true warm
         | _ -> assert false)
 
+(* Two clients over three configured workloads: the third is never
+   requested, and a workload without responses is not a divergence. *)
+let test_loadtest_unrequested_workload () =
+  let cfg =
+    { Fastsim_serve.Loadtest.default with
+      Fastsim_serve.Loadtest.clients = 2;
+      jobs = 2;
+      requests_per_client = 1 }
+  in
+  check Alcotest.int "a workload nobody requested" 3
+    (List.length cfg.Fastsim_serve.Loadtest.workloads);
+  match Fastsim_serve.Loadtest.run cfg with
+  | Error m -> Alcotest.fail m
+  | Ok r ->
+    check Alcotest.int "no request errors" 0
+      (r.Fastsim_serve.Loadtest.lt_cold.Fastsim_serve.Loadtest.ph_errors
+       + r.Fastsim_serve.Loadtest.lt_warm.Fastsim_serve.Loadtest.ph_errors);
+    check Alcotest.int "no divergence" 0 r.Fastsim_serve.Loadtest.lt_divergent
+
 let suite =
   [ Alcotest.test_case "protocol frames round-trip" `Quick
       test_proto_roundtrip;
@@ -1410,4 +1429,6 @@ let suite =
     Alcotest.test_case "disconnect cancels the orphaned run (fleet)" `Quick
       test_orphan_cancel_fleet;
     Alcotest.test_case "fleet over domains (OCaml 5)" `Quick
-      test_fleet_domain_transport ]
+      test_fleet_domain_transport;
+    Alcotest.test_case "loadtest ignores unrequested workloads" `Quick
+      test_loadtest_unrequested_workload ]
