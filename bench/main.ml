@@ -796,6 +796,41 @@ let hotpath () =
     | None -> 0
   in
   let warm_replay_rate = float_of_int groups' /. dt' in
+  (* the memo write path, on go: in isolation, every stride of its
+     unbounded cache re-interned into a fresh chain store; end to end,
+     go re-recording under a flush-on-full budget a quarter of that
+     cache's natural (peak) size *)
+  let gw = Workloads.Suite.find "go" in
+  let gprog = gw.Workloads.Workload.build (scale_of gw) in
+  let gpc = Memo.Pcache.create () in
+  ignore
+    (Fastsim.Sim.run ~engine:`Fast Spec.(with_pcache gpc default) gprog
+      : Fastsim.Sim.result);
+  let runs = ref [] in
+  Memo.Pcache.iter_configs
+    (fun c ->
+      match c.Memo.Action.cfg_group with
+      | Some { Memo.Action.g_first = Memo.Action.N_stride s; _ } ->
+        runs := Memo.Store.expand s.Memo.Action.s_rule :: !runs
+      | _ -> ())
+    gpc;
+  let runs = Array.of_list !runs in
+  let (), dt_intern =
+    time_best (fun () ->
+        let st = Memo.Store.create () in
+        Array.iter
+          (fun segs ->
+            ignore (Memo.Store.intern_segs st segs : Memo.Action.rule))
+          runs)
+  in
+  let intern_rate = float_of_int (Array.length runs) /. dt_intern in
+  let natural = (Memo.Pcache.counters gpc).Memo.Pcache.peak_modeled_bytes in
+  let bounded = Memo.Pcache.Flush_on_full (max 1 (natural / 4)) in
+  let br, dt_bounded =
+    time_best (fun () ->
+        Fastsim.Sim.run ~engine:`Fast Spec.(with_policy bounded default) gprog)
+  in
+  let bounded_kips = float_of_int br.Fastsim.Sim.retired /. dt_bounded /. 1e3 in
   (* persist footprint over the whole kernel suite, current codec vs the
      inline-segment FSPC0003 stream (always at test scale: the ratio is
      what matters, and CI gates v4 <= v3) *)
@@ -826,6 +861,10 @@ let hotpath () =
     replay_rate groups dt;
   Printf.printf "warm replay (reloaded): %14.0f groups/s  (%d groups, %.3f s)\n"
     warm_replay_rate groups' dt';
+  Printf.printf "store intern (strides): %14.0f runs/s  (%d runs of go)\n"
+    intern_rate (Array.length runs);
+  Printf.printf "bounded FastSim (go):   %14.1f kinst/s  (%s)\n" bounded_kips
+    (Spec.policy_to_string bounded);
   Printf.printf "persist bytes (suite):  %14d FSPC0004 / %d FSPC0003 (%.2fx)\n"
     !v4_bytes !v3_bytes
     (float_of_int !v4_bytes /. float_of_int (max 1 !v3_bytes));
@@ -836,6 +875,8 @@ let hotpath () =
       ("string_intern_ops_per_sec", string_intern);
       ("replay_groups_per_sec", replay_rate);
       ("warm_replay_groups_per_s", warm_replay_rate);
+      ("store_intern_segs_per_s", intern_rate);
+      ("bounded_fast_kips", bounded_kips);
       ("persist_bytes_fspc0004", float_of_int !v4_bytes);
       ("persist_bytes_fspc0003", float_of_int !v3_bytes) ]
 

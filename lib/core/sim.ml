@@ -285,6 +285,7 @@ let fast_sim ?params ?cache_config ?(predictor = Standard)
     Memo.Pcache.attach_obs pc ?trace ?metrics ~now:(fun () -> !cycle) ();
   let mstats = Memo.Stats.create () in
   let total_classes = Array.make Isa.Instr.fu_count 0 in
+  let fault_every = Memo.Replay.fault_period () in
   let prefix_mismatch what item =
     raise
       (Memo.Pcache.Determinism_violation
@@ -393,6 +394,7 @@ let fast_sim ?params ?cache_config ?(predictor = Standard)
           if !cycle - !last_progress > watchdog then
             raise (Deadlock "no retirement progress");
           if r.Uarch.Detailed.halted then begin
+            prof_enter profile Fastsim_obs.Profile.Record;
             ignore
               (Memo.Pcache.merge_group pc !cfg ~silent:!silent
                  ~retired:!group_retired
@@ -400,9 +402,12 @@ let fast_sim ?params ?cache_config ?(predictor = Standard)
                  ~items:(List.rev !items_rev)
                  ~terminal:Memo.Action.T_halt
                 : Memo.Action.config option);
+            prof_leave profile;
             result := Some `Halted
           end
           else if r.Uarch.Detailed.interactions > 0 then begin
+            (* The memo write path, profiled as its own phase. *)
+            prof_enter profile Fastsim_obs.Profile.Record;
             (* Hot path: encode the snapshot into the simulator's reusable
                arena and probe the table with its precomputed hash — a warm
                cache resolves the successor without allocating. *)
@@ -428,6 +433,7 @@ let fast_sim ?params ?cache_config ?(predictor = Standard)
                 (* Our configuration nodes may be stale; re-intern by key. *)
                 Memo.Pcache.intern pc next0.Memo.Action.cfg_key
             in
+            prof_leave profile;
             if next.Memo.Action.cfg_group <> None then
               result := Some (`Replay next)
             else cfg := next
@@ -468,8 +474,8 @@ let fast_sim ?params ?cache_config ?(predictor = Standard)
             Fun.protect
               ~finally:(fun () -> prof_leave profile)
               (fun () ->
-                Memo.Replay.run ~max_cycles ?trace ?metrics pc mstats
-                  ~oracle ~cycle ~classes:total_classes ~start:cfg)
+                Memo.Replay.run ~max_cycles ?trace ?metrics ~fault_every pc
+                  mstats ~oracle ~cycle ~classes:total_classes ~start:cfg)
           in
           (match r with
            | Memo.Replay.Replay_halted -> halted := true
@@ -480,12 +486,14 @@ let fast_sim ?params ?cache_config ?(predictor = Standard)
                 partial statistics — so Fast ≡ Slow at every truncation
                 point. *)
              let uarch =
-               Uarch.Detailed.restore ?params prog config.Memo.Action.cfg_key
+               Uarch.Detailed.restore ?params ~from:uarch0 prog
+                 config.Memo.Action.cfg_key
              in
              state := `Detailed (uarch, config, [])
            | Memo.Replay.Diverged { config; prefix } ->
              let uarch =
-               Uarch.Detailed.restore ?params prog config.Memo.Action.cfg_key
+               Uarch.Detailed.restore ?params ~from:uarch0 prog
+                 config.Memo.Action.cfg_key
              in
              state := `Detailed (uarch, config, prefix))
       done);
@@ -780,6 +788,7 @@ let fast_segment ~params rig pc ~uarch0 ~cfg0 ~prefix0 ~budget ~marks prog :
     mstats.Memo.Stats.detailed_retired + mstats.Memo.Stats.replayed_retired
   in
   let oracle = rig.r_oracle and cycle = rig.r_cycle in
+  let fault_every = Memo.Replay.fault_period () in
   let prefix_mismatch what item =
     raise
       (Memo.Pcache.Determinism_violation
@@ -962,8 +971,8 @@ let fast_segment ~params rig pc ~uarch0 ~cfg0 ~prefix0 ~budget ~marks prog :
       else begin
         let max_retired = marks.(!mi) - retired_now () in
         match
-          Memo.Replay.run ~max_cycles:budget ~max_retired pc mstats ~oracle
-            ~cycle ~classes:total_classes ~start:cfg
+          Memo.Replay.run ~max_cycles:budget ~max_retired ~fault_every pc
+            mstats ~oracle ~cycle ~classes:total_classes ~start:cfg
         with
         | Memo.Replay.Replay_halted ->
           (* Marks remain but the chain halted: only reachable when a mark
@@ -971,12 +980,14 @@ let fast_segment ~params rig pc ~uarch0 ~cfg0 ~prefix0 ~budget ~marks prog :
           finish := Some `Halted
         | Memo.Replay.Replay_budget config ->
           let uarch =
-            Uarch.Detailed.restore ~params prog config.Memo.Action.cfg_key
+            Uarch.Detailed.restore ~params ~from:uarch0 prog
+              config.Memo.Action.cfg_key
           in
           state := `Detailed (uarch, config, [])
         | Memo.Replay.Diverged { config; prefix } ->
           let uarch =
-            Uarch.Detailed.restore ~params prog config.Memo.Action.cfg_key
+            Uarch.Detailed.restore ~params ~from:uarch0 prog
+              config.Memo.Action.cfg_key
           in
           state := `Detailed (uarch, config, prefix)
       end

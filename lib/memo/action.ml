@@ -42,7 +42,7 @@ and stride_seg = {
 }
 
 (* Grammar-compressed chain rules (docs/INTERNALS.md "Memoization 2.0").
-   A rule is an immutable, content-addressed spine over {e portable}
+   A rule is an immutable, hash-consed spine over {e portable}
    segments ([pseg]: configuration keys, not configuration nodes, so a
    rule is meaningful in any p-action cache of the same program): a cons
    list whose tail sharing dedupes identical chain suffixes across
@@ -53,7 +53,7 @@ and stride_seg = {
    and release live in store.ml. *)
 and rule = {
   ru_id : int;        (* creation order within the owning store *)
-  ru_digest : string; (* content address: digest over payload + children *)
+  ru_hash : int;      (* hash of the store's shallow structural key *)
   ru_node : rule_node;
   ru_nsegs : int;     (* segments after full expansion *)
   ru_bytes : int;     (* modeled bytes of this node alone (not children) *)
@@ -83,6 +83,7 @@ and config = {
   mutable cfg_hits : int;
   mutable cfg_dropped : bool;
   mutable cfg_old_gen : bool;
+  mutable cfg_mark : int;  (* Pcache.compact's visited stamp *)
 }
 
 and group = {

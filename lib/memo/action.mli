@@ -45,7 +45,7 @@ and stride_node = {
   s_term : node;  (** the run's final [N_goto] or [N_halt]. *)
   s_rule : rule;
       (** the canonical grammar-compressed form of [s_segs] in the
-          owning {!Store}: content-addressed, suffix-deduplicated across
+          owning {!Store}: hash-consed, suffix-deduplicated across
           strides (and, through a shared store, across specs and
           shards). The stride holds one reference; {!Pcache} releases it
           when the stride is expanded or discarded. *)
@@ -68,7 +68,9 @@ and stride_seg = {
 
 and rule = {
   ru_id : int;         (** creation order within the owning store. *)
-  ru_digest : string;  (** content address (digest over payload+children). *)
+  ru_hash : int;
+      (** hash of the owning store's shallow structural key: the node's
+          payload plus the identities ([ru_id]) of its children. *)
   ru_node : rule_node;
   ru_nsegs : int;      (** segments after full expansion. *)
   ru_bytes : int;      (** modeled bytes of this node alone. *)
@@ -76,8 +78,8 @@ and rule = {
       (** parent rules + external holders; managed by {!Store}. *)
 }
 (** A grammar-compressed chain rule (docs/INTERNALS.md "Memoization 2.0"):
-    an immutable cons spine over {e portable} segments, content-addressed
-    and hash-consed by its owning {!Store} so identical suffixes are
+    an immutable cons spine over {e portable} segments, hash-consed by
+    its owning {!Store} so identical suffixes are
     stored once, with [R_rep] capturing tandem repetition (loop bodies)
     — the body is itself a rule, so nesting expresses loop nests. *)
 
@@ -110,6 +112,9 @@ and config = {
   mutable cfg_hits : int;      (** times the replay engine visited this. *)
   mutable cfg_dropped : bool;  (** evicted from the table by a collection. *)
   mutable cfg_old_gen : bool;  (** promoted by the generational collector. *)
+  mutable cfg_mark : int;
+      (** stamp of the last stride compaction that visited this config
+          (its O(1) cycle check); meaningless outside [Pcache.compact]. *)
 }
 
 and group = {

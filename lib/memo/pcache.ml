@@ -39,6 +39,7 @@ type t = {
   mutable gc_population : int;
   mutable stride_count : int;
   mutable expand_count : int;
+  mutable mark : int;  (* last stamp [compact] gave the configs it visited *)
   (* Observability (docs/OBSERVABILITY.md). Attached after creation with
      [attach_obs] because a warm-started cache outlives any one engine run.
      Strictly passive: no replacement or recording decision reads these. *)
@@ -93,6 +94,7 @@ let create ?(policy = Unbounded) ?store () =
     gc_population = 0;
     stride_count = 0;
     expand_count = 0;
+    mark = 0;
     obs_trace = None;
     obs_now = (fun () -> 0);
     m_inserts = None;
@@ -197,7 +199,8 @@ let intern_miss t hash key =
       cfg_touched = t.epoch;
       cfg_hits = 0;
       cfg_dropped = false;
-      cfg_old_gen = false }
+      cfg_old_gen = false;
+      cfg_mark = 0 }
   in
   Ctable.add t.table ~hash key cfg;
   t.configs_alloc <- t.configs_alloc + 1;
@@ -277,25 +280,34 @@ let resolve_goto t (g : Action.goto_node) =
 
 (* A chain qualifies for compaction when it is a straight line: every
    action node carries exactly one recorded outcome edge. Returns the
-   items in order, the terminal ([`Goto] keeps the actual node so its
-   edge — and lazy pointer healing — is preserved), and the summed
-   modeled bytes of every node on the line including the terminal. *)
+   items in order, the summed modeled bytes of every node on the line
+   including the terminal, and the terminal node itself (so a [N_goto]'s
+   edge — and lazy pointer healing — is preserved). The item array is
+   allocated at the terminal, once the length is known, and filled on
+   the way back; a group's line is a few interactions long. *)
 let linear_chain first =
-  let rec go acc bytes node =
+  let rec go n bytes node =
     match node with
-    | Action.N_load { Action.l_edges = [ (lat, next) ] } ->
-      go (Action.I_load lat :: acc) (bytes + Action.node_bytes node) next
-    | Action.N_ctl { Action.c_edges = [ (c, next) ] } ->
-      go (Action.I_ctl c :: acc) (bytes + Action.node_bytes node) next
-    | Action.N_store next ->
-      go (Action.I_store :: acc) (bytes + Action.node_bytes node) next
-    | Action.N_rollback (i, next) ->
-      go (Action.I_rollback i :: acc) (bytes + Action.node_bytes node) next
-    | Action.N_goto gn -> Some (List.rev acc, bytes + 8, `Goto gn)
-    | Action.N_halt -> Some (List.rev acc, bytes + 8, `Halt)
+    | Action.N_load { Action.l_edges = [ (_, next) ] }
+    | Action.N_ctl { Action.c_edges = [ (_, next) ] }
+    | Action.N_store next
+    | Action.N_rollback (_, next) -> (
+      match go (n + 1) (bytes + Action.node_bytes node) next with
+      | Some (items, _, _) as line ->
+        items.(n) <-
+          (match node with
+           | Action.N_load { Action.l_edges = [ (lat, _) ] } ->
+             Action.I_load lat
+           | Action.N_ctl { Action.c_edges = [ (c, _) ] } -> Action.I_ctl c
+           | Action.N_rollback (i, _) -> Action.I_rollback i
+           | _ -> Action.I_store);
+        line
+      | None -> None)
+    | Action.N_goto _ | Action.N_halt ->
+      Some (Array.make n Action.I_store, bytes + 8, node)
     | Action.N_load _ | Action.N_ctl _ | Action.N_stride _ -> None
   in
-  go [] 0 first
+  go 0 0 first
 
 (* Strides longer than this stop growing: bounds the work a mid-stride
    divergence (full re-expansion) can cost. *)
@@ -311,69 +323,51 @@ let compact t (owner : Action.config) =
   | None -> false
   | Some g ->
     (match linear_chain g.Action.g_first with
-     | None | Some (_, _, `Halt) ->
-       (* Multi-edge, already a stride, or nothing follows: leave it. *)
-       false
-     | Some (owner_ops, owner_bytes, `Goto gn0) ->
-       let segs = ref [] in
-       let nsegs = ref 0 in
-       let seen = ref [ owner ] in
-       let halt_term = ref false in
-       let last_goto = ref gn0 in
-       let cur = ref (resolve_goto t gn0) in
-       let stop = ref false in
-       while not !stop do
-         let c = !cur in
+     | Some (owner_ops, owner_bytes, Action.N_goto gn0) ->
+       (* Visited configurations carry this compaction's stamp, so the
+          cycle check is O(1) per segment. *)
+       t.mark <- t.mark + 1;
+       owner.Action.cfg_mark <- t.mark;
+       let segs = ref [||] and nsegs = ref 0 and term = ref Action.N_halt in
+       let rec absorb (c : Action.config) =
          if
-           !nsegs >= max_stride_segs
-           || List.memq c !seen
-           || c.Action.cfg_dropped
-         then stop := true
-         else
+           !nsegs < max_stride_segs
+           && c.Action.cfg_mark <> t.mark
+           && not c.Action.cfg_dropped
+         then
            match c.Action.cfg_group with
-           | None -> stop := true
+           | None -> ()
            | Some sg -> (
              match linear_chain sg.Action.g_first with
-             | None -> stop := true
-             | Some (ops, bytes, term) ->
-               seen := c :: !seen;
-               segs := (c, sg, ops, bytes) :: !segs;
+             | None -> ()
+             | Some (ops, bytes, next) ->
+               c.Action.cfg_mark <- t.mark;
+               (* Strip the plain chains: the absorbed configurations stay
+                  interned (re-recordable on a direct landing) but lose
+                  their groups; the owner keeps its group with the stride
+                  as chain. *)
+               if !nsegs = 0 then remove_bytes t owner owner_bytes;
+               remove_bytes t c bytes;
+               c.Action.cfg_group <- None;
+               let seg =
+                 { Action.sg_cfg = c;
+                   sg_silent = sg.Action.g_silent;
+                   sg_retired = sg.Action.g_retired;
+                   sg_classes = sg.Action.g_classes;
+                   sg_ops = ops }
+               in
+               if !nsegs = 0 then segs := Array.make max_stride_segs seg;
+               !segs.(!nsegs) <- seg;
                incr nsegs;
-               (match term with
-                | `Goto gn ->
-                  last_goto := gn;
-                  cur := resolve_goto t gn
-                | `Halt ->
-                  halt_term := true;
-                  stop := true))
-       done;
+               term := next;
+               match next with
+               | Action.N_goto gn -> absorb (resolve_goto t gn)
+               | _ -> ())
+       in
+       absorb (resolve_goto t gn0);
        if !nsegs = 0 then false
        else begin
-         let segs = List.rev !segs in
-         (* Strip the plain chains: the absorbed configurations stay
-            interned (re-recordable on a direct landing) but lose their
-            groups; the owner keeps its group with the stride as chain. *)
-         remove_bytes t owner owner_bytes;
-         List.iter
-           (fun ((c : Action.config), _, _, bytes) ->
-             remove_bytes t c bytes;
-             c.Action.cfg_group <- None)
-           segs;
-         let term_node =
-           if !halt_term then Action.N_halt
-           else Action.N_goto !last_goto
-         in
-         let seg_arr =
-           Array.of_list
-             (List.map
-                (fun (c, (sg : Action.group), ops, _) ->
-                  { Action.sg_cfg = c;
-                    sg_silent = sg.Action.g_silent;
-                    sg_retired = sg.Action.g_retired;
-                    sg_classes = sg.Action.g_classes;
-                    sg_ops = Array.of_list ops })
-                segs)
-         in
+         let seg_arr = Array.sub !segs 0 !nsegs in
          (* Canonical compressed form: portable segments (keys, not
             nodes) interned into the chain store, sharing the segment
             arrays just built. The returned rule arrives retained; the
@@ -391,9 +385,9 @@ let compact t (owner : Action.config) =
          in
          let stride =
            Action.N_stride
-             { Action.s_ops = Array.of_list owner_ops;
+             { Action.s_ops = owner_ops;
                s_segs = seg_arr;
-               s_term = term_node;
+               s_term = !term;
                s_rule = rule }
          in
          t.actions_alloc <- t.actions_alloc + 1;
@@ -404,14 +398,17 @@ let compact t (owner : Action.config) =
                g_classes = g.Action.g_classes;
                g_first = stride };
          add_bytes t owner (Action.node_bytes stride);
-         add_bytes t owner (Action.node_bytes term_node);
+         add_bytes t owner (Action.node_bytes !term);
          t.stride_count <- t.stride_count + 1;
          tick t.m_strides;
          emit t "stride_compact"
-           [ ("segs", Fastsim_obs.Json.Int (List.length segs));
+           [ ("segs", Fastsim_obs.Json.Int !nsegs);
              ("modeled_bytes", Fastsim_obs.Json.Int t.bytes) ];
          true
-       end)
+       end
+     | _ ->
+       (* Multi-edge, already a stride, or nothing follows: leave it. *)
+       false)
 
 let expand_stride t (owner : Action.config) =
   match owner.Action.cfg_group with
@@ -588,32 +585,36 @@ let merge_group t (cfg : Action.config) ~silent ~retired ~classes ~items
 let config_size (c : Action.config) =
   c.Action.cfg_bytes + c.Action.cfg_action_bytes
 
+(* Visits every node of a chain, oldest edge last, with an explicit
+   worklist: chains grow one node per silent region, and deserialised
+   ones can be arbitrarily deep (see the ≥100k-node regression test in
+   test/test_persist.ml), too deep for naive recursion. *)
+let iter_chain f first =
+  let push stack (_, n) = n :: stack in
+  let rec go = function
+    | [] -> ()
+    | node :: stack ->
+      f node;
+      go
+        (match node with
+         | Action.N_load { l_edges } -> List.fold_left push stack l_edges
+         | Action.N_ctl { c_edges } -> List.fold_left push stack c_edges
+         | Action.N_store next
+         | Action.N_rollback (_, next)
+         | Action.N_stride { s_term = next; _ } -> next :: stack
+         | Action.N_halt | Action.N_goto _ -> stack)
+  in
+  go [ first ]
+
 (* [cfg_action_bytes] is maintained here rather than at every [add_bytes]
-   call site: recompute a config's share lazily before collections.
-   Iterative with an explicit worklist: chains grow one node per silent
-   region, so a long-running workload can build chains deep enough to
-   overflow the OCaml stack under naive recursion. *)
+   call site: recompute a config's share lazily before collections. *)
 let recompute_action_bytes (c : Action.config) =
   let total = ref 0 in
-  let stack = ref [] in
-  let push n = stack := n :: !stack in
-  (match c.Action.cfg_group with
-   | Some g -> push g.Action.g_first
-   | None -> ());
-  let continue_ = ref true in
-  while !continue_ do
-    match !stack with
-    | [] -> continue_ := false
-    | node :: rest ->
-      stack := rest;
-      total := !total + Action.node_bytes node;
-      (match node with
-       | Action.N_load { l_edges } -> List.iter (fun (_, n) -> push n) l_edges
-       | Action.N_ctl { c_edges } -> List.iter (fun (_, n) -> push n) c_edges
-       | Action.N_store next | Action.N_rollback (_, next) -> push next
-       | Action.N_stride { s_term; _ } -> push s_term
-       | Action.N_halt | Action.N_goto _ -> ())
-  done;
+  Option.iter
+    (fun g ->
+      iter_chain (fun n -> total := !total + Action.node_bytes n)
+        g.Action.g_first)
+    c.Action.cfg_group;
   c.Action.cfg_action_bytes <- !total
 
 let flush t =
@@ -731,24 +732,8 @@ let install_group t (cfg : Action.config) ~silent ~retired ~classes ~first =
         g_retired = retired;
         g_classes = classes;
         g_first = first };
-  (* Worklist, not recursion: deserialised chains can be arbitrarily deep
-     (see the ≥100k-node regression test in test/test_persist.ml). *)
-  let stack = ref [ first ] in
-  let continue_ = ref true in
-  while !continue_ do
-    match !stack with
-    | [] -> continue_ := false
-    | node :: rest ->
-      stack := rest;
+  iter_chain
+    (fun node ->
       t.actions_alloc <- t.actions_alloc + 1;
-      add_bytes t cfg (Action.node_bytes node);
-      (match node with
-       | Action.N_load { l_edges } ->
-         List.iter (fun (_, n) -> stack := n :: !stack) l_edges
-       | Action.N_ctl { c_edges } ->
-         List.iter (fun (_, n) -> stack := n :: !stack) c_edges
-       | Action.N_store next | Action.N_rollback (_, next) ->
-         stack := next :: !stack
-       | Action.N_stride { s_term; _ } -> stack := s_term :: !stack
-       | Action.N_halt | Action.N_goto _ -> ())
-  done
+      add_bytes t cfg (Action.node_bytes node))
+    first

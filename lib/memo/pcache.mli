@@ -148,6 +148,10 @@ type counters = {
 val counters : t -> counters
 val iter_configs : (Action.config -> unit) -> t -> unit
 
+val iter_chain : (Action.node -> unit) -> Action.node -> unit
+(** Visits every node of an action chain once, depth first, with an
+    explicit worklist (no stack proportional to chain depth). *)
+
 val install_group :
   t -> Action.config -> silent:int -> retired:int -> classes:int array ->
   first:Action.node -> unit

@@ -8,7 +8,7 @@ exception Format_error of string
    - FSPC0004: grammar-compressed. The stream carries a string table
      (configuration keys, referenced by index from 'G' targets and rule
      segments) and a topologically ordered rule table (the chain store's
-     content-addressed rules); a stride serialises as its owner ops plus
+     hash-consed rules); a stride serialises as its owner ops plus
      one rule index instead of inline segments, so chain suffixes shared
      by many strides are written once.
    Readers exist for all three ({!Codec.supported}); the v3 writer is
@@ -215,28 +215,12 @@ let save_v4 pc ~program oc =
     done
   in
   (* collection pass over every chain *)
-  let collect_node (root : Action.node) =
-    let stack = ref [ root ] in
-    let continue_ = ref true in
-    while !continue_ do
-      match !stack with
-      | [] -> continue_ := false
-      | node :: rest ->
-        stack := rest;
-        (match node with
-         | Action.N_load { l_edges } ->
-           List.iter (fun (_, n) -> stack := n :: !stack) l_edges
-         | Action.N_ctl { c_edges } ->
-           List.iter (fun (_, n) -> stack := n :: !stack) c_edges
-         | Action.N_store next | Action.N_rollback (_, next) ->
-           stack := next :: !stack
-         | Action.N_goto g ->
-           ignore (intern_str g.Action.target.Action.cfg_key : int)
-         | Action.N_stride s ->
-           add_rule_closure s.Action.s_rule;
-           stack := s.Action.s_term :: !stack
-         | Action.N_halt -> ())
-    done
+  let collect_node =
+    Pcache.iter_chain (function
+      | Action.N_goto g ->
+        ignore (intern_str g.Action.target.Action.cfg_key : int)
+      | Action.N_stride s -> add_rule_closure s.Action.s_rule
+      | _ -> ())
   in
   List.iter
     (fun (c : Action.config) ->

@@ -13,15 +13,16 @@ type group_step =
    replayed group charges one extra cycle. This deliberately breaks the
    fast ≡ slow equivalence so the differential fuzzing harness (and CI)
    can prove it detects and shrinks such bugs. Unset (the normal case),
-   replay is exact. The variable is re-read on every [run] so tests can
-   toggle it with [Unix.putenv]. *)
+   replay is exact. Engines read it once per simulation ([fault_every]);
+   otherwise each [run] re-reads it. *)
 let fault_period () =
   match Sys.getenv_opt "FASTSIM_REPLAY_FAULT_EVERY" with
   | None | Some "" -> 0
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 0)
 
-let run ?(max_cycles = max_int) ?(max_retired = max_int) ?trace ?metrics pc
-    (stats : Stats.t) ~(oracle : Uarch.Oracle.t) ~cycle ~classes ~start =
+let run ?(max_cycles = max_int) ?(max_retired = max_int) ?trace ?metrics
+    ?fault_every pc (stats : Stats.t) ~(oracle : Uarch.Oracle.t) ~cycle
+    ~classes ~start =
   (* Observability (docs/OBSERVABILITY.md): one [engine]-category replay
      span per run, synthetic per-group events reconstructed from the action
      chains as they are walked, and chain/episode-length histograms.
@@ -78,7 +79,7 @@ let run ?(max_cycles = max_int) ?(max_retired = max_int) ?trace ?metrics pc
         (Fastsim_obs.Event.counter ~ts:!cycle ~cat:"engine" "retired"
            (stats.Stats.detailed_retired + stats.Stats.replayed_retired))
   in
-  let fault_every = fault_period () in
+  let fault_every = Option.value fault_every ~default:(fault_period ()) in
   let cur = ref start in
   let result = ref None in
   (* ---- stride replay (docs/INTERNALS.md "Hot path") ----------------

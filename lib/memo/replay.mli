@@ -38,6 +38,7 @@ val run :
   ?max_retired:int ->
   ?trace:Fastsim_obs.Trace.t ->
   ?metrics:Fastsim_obs.Metrics.t ->
+  ?fault_every:int ->
   Pcache.t ->
   Stats.t ->
   oracle:Uarch.Oracle.t ->
@@ -61,4 +62,9 @@ val run :
     sample, reconstructed from the recorded action chains as they are
     walked. [metrics] feeds the [memo.replay_chain_length] and
     [memo.episode_cycles] histograms. Both are strictly passive (see
-    docs/OBSERVABILITY.md). *)
+    docs/OBSERVABILITY.md). [fault_every] defaults to {!fault_period}. *)
+
+val fault_period : unit -> int
+(** The test-only fault-injection period from [FASTSIM_REPLAY_FAULT_EVERY]
+    (docs/FUZZ.md; 0 when unset): every n-th replayed group charges one
+    extra cycle. Engines read it once per simulation. *)

@@ -2,7 +2,8 @@
     "Memoization 2.0").
 
     A store owns grammar-compressed chain rules ({!Action.rule}):
-    content-addressed cons spines over portable segments, hash-consed so
+    cons spines over portable segments, hash-consed by shallow structural
+    key (payload plus child identity) so
     identical chain suffixes — within one stride, across strides, and
     across the p-action caches of every spec sharing the store — are
     represented once, with [R_rep] nodes capturing tandem repetition

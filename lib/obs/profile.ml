@@ -1,17 +1,19 @@
-type phase = Detailed | Replay | Cachesim | Emulation | Other
+type phase = Detailed | Record | Replay | Cachesim | Emulation | Other
 
-let all_phases = [ Detailed; Replay; Cachesim; Emulation; Other ]
-let n_phases = 5
+let all_phases = [ Detailed; Record; Replay; Cachesim; Emulation; Other ]
+let n_phases = 6
 
 let index = function
   | Detailed -> 0
-  | Replay -> 1
-  | Cachesim -> 2
-  | Emulation -> 3
-  | Other -> 4
+  | Record -> 1
+  | Replay -> 2
+  | Cachesim -> 3
+  | Emulation -> 4
+  | Other -> 5
 
 let phase_name = function
   | Detailed -> "detailed"
+  | Record -> "record"
   | Replay -> "replay"
   | Cachesim -> "cachesim"
   | Emulation -> "emulation"

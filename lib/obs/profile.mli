@@ -6,12 +6,15 @@
     time. Time spent outside any phase accrues to {!Other}.
 
     The engines map their work onto phases as follows: the detailed
-    cycle-by-cycle simulator runs under {!Detailed}; fast-forwarding under
-    {!Replay}; each oracle call nests {!Cachesim} (cache loads/stores) or
-    {!Emulation} (direct-execution control pulls and rollbacks) inside
-    whichever of the two is active. *)
+    cycle-by-cycle simulator runs under {!Detailed}; the memo write path
+    it drives at each group boundary (snapshot intern, group merge,
+    stride compaction, the cache budget check and any flush) nests
+    {!Record} inside it; fast-forwarding runs under {!Replay}; each
+    oracle call nests {!Cachesim} (cache loads/stores) or {!Emulation}
+    (direct-execution control pulls and rollbacks) inside whichever of
+    the two is active. *)
 
-type phase = Detailed | Replay | Cachesim | Emulation | Other
+type phase = Detailed | Record | Replay | Cachesim | Emulation | Other
 
 type t
 
@@ -35,8 +38,8 @@ val phase_name : phase -> string
 val all_phases : phase list
 
 val to_json : t -> Json.t
-(** [{ "detailed": s, "replay": s, "cachesim": s, "emulation": s,
-      "other": s, "total": s }] *)
+(** [{ "detailed": s, "record": s, "replay": s, "cachesim": s,
+      "emulation": s, "other": s, "total": s }] *)
 
 val pp : Format.formatter -> t -> unit
 (** A small table: seconds and percentage per phase. *)

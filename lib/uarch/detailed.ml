@@ -1,6 +1,9 @@
 type t = {
   params : Params.t;
   prog : Isa.Program.t;
+  (* [prog]'s static operands, shared with every simulator restored
+     from this one (see [restore ~from]). *)
+  decoded : Pipeline.decoded;
   iq : Pipeline.t;
   mutable fetch : Pipeline.fetch_state;
   mutable halted_f : bool;
@@ -27,6 +30,7 @@ let create ?(params = Params.default) prog =
   Params.validate params;
   { params;
     prog;
+    decoded = Pipeline.decode_program prog;
     iq = Pipeline.create ~capacity:params.active_list;
     fetch = Pipeline.F_run prog.Isa.Program.entry;
     halted_f = false;
@@ -41,13 +45,21 @@ let create_at ?params prog ~pc =
   t.fetch <- Pipeline.F_run pc;
   t
 
-let restore ?(params = Params.default) prog key =
+let restore ?(params = Params.default) ?from prog key =
   Params.validate params;
-  let fetch, iq = Snapshot.decode prog ~capacity:params.active_list key in
+  let decoded =
+    match from with
+    | Some f when f.prog == prog -> f.decoded
+    | Some _ | None -> Pipeline.decode_program prog
+  in
+  let fetch, iq =
+    Snapshot.decode ~decoded prog ~capacity:params.active_list key
+  in
   let rename = Rename.create params in
   Rename.rebuild rename iq;
   { params;
     prog;
+    decoded;
     iq;
     fetch;
     halted_f = false;
@@ -385,25 +397,26 @@ let fetch t (o : Oracle.t) interactions (c : counts) =
     | Pipeline.F_stall_indirect | Pipeline.F_stall_wedged | Pipeline.F_halted
       ->
       continue_ := false
-    | Pipeline.F_run pc -> (
-      match Isa.Program.fetch_opt t.prog pc with
-      | None ->
+    | Pipeline.F_run pc ->
+      let i = Pipeline.decoded_index t.decoded pc in
+      if i < 0 then begin
         (* Wrong-path fetch ran off the code segment. *)
         t.fetch <- Pipeline.F_stall_wedged;
         continue_ := false
-      | Some insn -> (
-        match Isa.Instr.control insn with
+      end
+      else begin
+        match Pipeline.decoded_control t.decoded i with
         | Isa.Instr.Ctl_halt ->
-          Pipeline.push t.iq (Pipeline.entry_of_addr t.prog pc);
+          Pipeline.push t.iq (Pipeline.entry_at t.decoded i pc);
           incr fetched;
           t.fetch <- Pipeline.F_halted;
           continue_ := false
         | Isa.Instr.Ctl_none ->
-          Pipeline.push t.iq (Pipeline.entry_of_addr t.prog pc);
+          Pipeline.push t.iq (Pipeline.entry_at t.decoded i pc);
           incr fetched;
           t.fetch <- Pipeline.F_run (pc + 4)
         | Isa.Instr.Ctl_direct target ->
-          Pipeline.push t.iq (Pipeline.entry_of_addr t.prog pc);
+          Pipeline.push t.iq (Pipeline.entry_at t.decoded i pc);
           incr fetched;
           t.fetch <- Pipeline.F_run target;
           (* A taken transfer ends the fetch packet. *)
@@ -415,25 +428,21 @@ let fetch t (o : Oracle.t) interactions (c : counts) =
             match o.fetch_control () with
             | Oracle.C_cond { taken; mispredicted } ->
               incr interactions;
-              let e = Pipeline.entry_of_addr t.prog pc in
+              let e = Pipeline.entry_at t.decoded i pc in
               e.Pipeline.taken <- taken;
               e.Pipeline.mispredicted <- mispredicted;
               Pipeline.push t.iq e;
               incr fetched;
               c.c_unresolved_cond <- c.c_unresolved_cond + 1;
-              let fall, target =
-                match Isa.Instr.branch_targets insn ~pc with
-                | Some x -> x
-                | None -> assert false
-              in
               let predicted_taken =
                 if mispredicted then not taken else taken
               in
               if predicted_taken then begin
-                t.fetch <- Pipeline.F_run target;
+                t.fetch <-
+                  Pipeline.F_run (Pipeline.decoded_target t.decoded i);
                 continue_ := false
               end
-              else t.fetch <- Pipeline.F_run fall
+              else t.fetch <- Pipeline.F_run (pc + 4)
             | Oracle.C_stalled ->
               incr interactions;
               t.fetch <- Pipeline.F_stall_wedged;
@@ -445,7 +454,7 @@ let fetch t (o : Oracle.t) interactions (c : counts) =
           match o.fetch_control () with
           | Oracle.C_indirect { target; hit } ->
             incr interactions;
-            let e = Pipeline.entry_of_addr t.prog pc in
+            let e = Pipeline.entry_at t.decoded i pc in
             e.Pipeline.ind_target <- target;
             if hit then begin
               Pipeline.push t.iq e;
@@ -463,7 +472,8 @@ let fetch t (o : Oracle.t) interactions (c : counts) =
             t.fetch <- Pipeline.F_stall_wedged;
             continue_ := false
           | Oracle.C_cond _ ->
-            invalid_arg "Detailed.fetch: cond outcome at indirect jump")))
+            invalid_arg "Detailed.fetch: cond outcome at indirect jump")
+      end
   done
 
 let step_cycle t ~now (o : Oracle.t) =

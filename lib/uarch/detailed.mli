@@ -29,8 +29,12 @@ val create_at : ?params:Params.t -> Isa.Program.t -> pc:int -> t
     the cold-start state of a strategy-engine interval whose functional
     checkpoint resumes mid-program (docs/STRATEGY.md). *)
 
-val restore : ?params:Params.t -> Isa.Program.t -> Snapshot.key -> t
-(** Rebuilds a simulator from a configuration snapshot. *)
+val restore :
+  ?params:Params.t -> ?from:t -> Isa.Program.t -> Snapshot.key -> t
+(** Rebuilds a simulator from a configuration snapshot. [from], an
+    earlier simulator of the same program, lends its pre-decoded program
+    table ({!Pipeline.decoded}); without it (or for another program) the
+    table is built afresh. *)
 
 type cycle_result = {
   retired : int;      (** instructions retired this cycle. *)

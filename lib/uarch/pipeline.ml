@@ -92,13 +92,12 @@ let issue_srcs insn =
     if base = Isa.Reg.zero then [||] else [| Isa.Instr.Dint base |]
   | _ -> Array.of_list (Isa.Instr.sources insn)
 
-let entry_of_addr prog addr =
-  let insn = Isa.Program.fetch prog addr in
+let make_entry addr insn ~fu ~srcs ~dst =
   { addr;
     insn;
-    fu = Isa.Instr.fu_class insn;
-    srcs = issue_srcs insn;
-    dst = Isa.Instr.dest insn;
+    fu;
+    srcs;
+    dst;
     st = st_fetched;
     counter = 0;
     taken = false;
@@ -108,6 +107,56 @@ let entry_of_addr prog addr =
     new_phys = -1;
     old_phys = -1;
     shadow_slot = -1 }
+
+let entry_of_addr prog addr =
+  let insn = Isa.Program.fetch prog addr in
+  make_entry addr insn ~fu:(Isa.Instr.fu_class insn) ~srcs:(issue_srcs insn)
+    ~dst:(Isa.Instr.dest insn)
+
+(* The static operands of every instruction, computed once per program
+   and shared (immutably) by every entry fetched from it. *)
+type decoded = {
+  d_base : int;
+  d_insn : Isa.Instr.t array;
+  d_fu : Isa.Instr.fu_class array;
+  d_srcs : Isa.Instr.dest array array;
+  d_dst : Isa.Instr.dest option array;
+  d_ctl : Isa.Instr.control array;
+  d_target : int array;  (* conditional branches: taken target; else -1 *)
+}
+
+let decode_program (prog : Isa.Program.t) =
+  let code = prog.Isa.Program.code in
+  let base = prog.Isa.Program.code_base in
+  { d_base = base;
+    d_insn = code;
+    d_fu = Array.map Isa.Instr.fu_class code;
+    d_srcs = Array.map issue_srcs code;
+    d_dst = Array.map Isa.Instr.dest code;
+    d_ctl = Array.map Isa.Instr.control code;
+    d_target =
+      Array.mapi
+        (fun i insn ->
+          match Isa.Instr.branch_targets insn ~pc:(base + (4 * i)) with
+          | Some (_, target) -> target
+          | None -> -1)
+        code }
+
+let decoded_index d addr =
+  let i = (addr - d.d_base) asr 2 in
+  if addr land 3 = 0 && addr >= d.d_base && i < Array.length d.d_insn then i
+  else -1
+
+let decoded_control d i = d.d_ctl.(i)
+let decoded_target d i = d.d_target.(i)
+
+let entry_at d i addr =
+  make_entry addr d.d_insn.(i) ~fu:d.d_fu.(i) ~srcs:d.d_srcs.(i)
+    ~dst:d.d_dst.(i)
+
+let entry_of_decoded d addr =
+  let i = decoded_index d addr in
+  if i < 0 then raise (Isa.Program.Fault addr) else entry_at d i addr
 
 let slot t i = (t.head + i) land t.mask
 

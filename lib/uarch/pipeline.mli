@@ -80,6 +80,39 @@ val entry_of_addr : Isa.Program.t -> int -> entry
 (** Fresh entry in the fetched stage; raises [Isa.Program.Fault] when
     [addr] is not a decodable instruction address. *)
 
+(** {2 Pre-decoded programs}
+
+    The static operands of an entry ([insn], [fu], [srcs], [dst]) depend
+    only on its address. A [decoded] table computes them once per
+    program; entries made from it share those immutable values instead
+    of re-deriving (and re-allocating) them on every fetch and restore.
+    A table holds no mutable state, so simulators running on different
+    domains may share one. *)
+
+type decoded
+
+val decode_program : Isa.Program.t -> decoded
+
+val decoded_index : decoded -> int -> int
+(** The instruction index of a byte address, or -1 when the address is
+    not a decodable instruction address (the [Isa.Program.fetch_opt]
+    [None] case). *)
+
+val decoded_control : decoded -> int -> Isa.Instr.control
+(** [Isa.Instr.control] of the instruction at a valid index. *)
+
+val decoded_target : decoded -> int -> int
+(** The taken target of the conditional branch at a valid index; -1 for
+    any other instruction. Its fall-through is the next address. *)
+
+val entry_at : decoded -> int -> int -> entry
+(** [entry_at d i addr] is {!entry_of_addr} for the instruction at valid
+    index [i], whose address is [addr]. *)
+
+val entry_of_decoded : decoded -> int -> entry
+(** {!entry_of_addr} through a table; raises [Isa.Program.Fault] on the
+    same addresses. *)
+
 val push : t -> entry -> unit
 (** Appends at the tail (youngest). Raises [Invalid_argument] when full. *)
 

@@ -115,7 +115,7 @@ let modeled_bytes (k : key) =
   let n = Char.code k.[5] and n_ind = Char.code k.[6] in
   16 + ((3 * n + 1) / 2) + (4 * n_ind)
 
-let decode prog ~capacity (k : key) =
+let decode ?decoded prog ~capacity (k : key) =
   if String.length k < header_size then invalid_arg "Snapshot.decode: short";
   let n = Char.code k.[5] and n_ind = Char.code k.[6] in
   if String.length k <> header_size + (4 * n) + (4 * n_ind) then
@@ -128,6 +128,9 @@ let decode prog ~capacity (k : key) =
     | 3 -> Pipeline.F_halted
     | _ -> invalid_arg "Snapshot.decode: bad fetch tag"
   in
+  let decoded =
+    match decoded with Some d -> d | None -> Pipeline.decode_program prog
+  in
   let iq = Pipeline.create ~capacity in
   let ind_off = ref (header_size + (4 * n)) in
   let next_addr = ref (get32 k 7) in
@@ -139,7 +142,7 @@ let decode prog ~capacity (k : key) =
       lor (Char.code k.[off + 2] lsl 8)
       lor (Char.code k.[off + 3] lsl 16)
     in
-    let e = Pipeline.entry_of_addr prog !next_addr in
+    let e = Pipeline.entry_of_decoded decoded !next_addr in
     let tag = b0 land 7 in
     if tag > 4 then invalid_arg "Snapshot.decode: bad stage tag";
     e.Pipeline.st <- tag;

@@ -57,8 +57,13 @@ val hash_key : key -> int
     deserialisation). *)
 
 val decode :
-  Isa.Program.t -> capacity:int -> key -> Pipeline.fetch_state * Pipeline.t
-(** Rebuilds the fetch state and iQ. Raises [Invalid_argument] on a
+  ?decoded:Pipeline.decoded ->
+  Isa.Program.t ->
+  capacity:int ->
+  key ->
+  Pipeline.fetch_state * Pipeline.t
+(** Rebuilds the fetch state and iQ. [decoded] is [prog]'s pre-decoded
+    table; without it one is built for this call. Raises [Invalid_argument] on a
     malformed key and [Isa.Program.Fault] if the key references addresses
     outside the program (impossible for keys produced by [encode] against
     the same program). *)

@@ -19,6 +19,7 @@ let () =
       ("ctable", Test_ctable.suite);
       ("stride", Test_stride.suite);
       ("rules", Test_rules.suite);
+      ("store", Test_store.suite);
       ("persist", Test_persist.suite);
       ("baseline", Test_baseline.suite);
       ("faults", Test_faults.suite);

@@ -127,6 +127,8 @@ let test_profile_phases () =
   Fastsim_obs.Profile.enter p Fastsim_obs.Profile.Detailed;
   Fastsim_obs.Profile.with_phase p Fastsim_obs.Profile.Cachesim (fun () ->
       ignore (Sys.opaque_identity (Array.make 1000 0) : int array));
+  Fastsim_obs.Profile.with_phase p Fastsim_obs.Profile.Record (fun () ->
+      ignore (Sys.opaque_identity (Array.make 1000 0) : int array));
   Fastsim_obs.Profile.leave p;
   Fastsim_obs.Profile.leave p (* unbalanced: must be a no-op *);
   Fastsim_obs.Profile.stop p;
@@ -143,6 +145,36 @@ let test_profile_phases () =
     (abs_float (sum -. Fastsim_obs.Profile.total p) < 1e-9);
   check Alcotest.string "phase name" "detailed"
     (Fastsim_obs.Profile.phase_name Fastsim_obs.Profile.Detailed)
+
+(* A FastSim run under a small flush-on-full budget keeps re-recording:
+   the memo write path shows as its own Record phase, nested inside
+   Detailed, and the exclusive phases still partition the run. *)
+let test_profile_engine_record () =
+  let w = Workloads.Suite.find "go" in
+  let prog = w.Workloads.Workload.build w.Workloads.Workload.test_scale in
+  let p = Fastsim_obs.Profile.create () in
+  let spec =
+    Fastsim.Sim.Spec.default
+    |> Fastsim.Sim.Spec.with_policy (Memo.Pcache.Flush_on_full 4_000)
+    |> Fastsim.Sim.Spec.with_obs (Fastsim_obs.Ctx.create ~profile:p ())
+  in
+  let r = Fastsim.Sim.run ~engine:`Fast spec prog in
+  (match r.Fastsim.Sim.pcache with
+   | Some c ->
+     check Alcotest.bool "the budget forces flushes" true
+       (c.Memo.Pcache.flushes > 0)
+   | None -> Alcotest.fail "pcache counters expected");
+  let s ph = Fastsim_obs.Profile.seconds p ph in
+  check Alcotest.bool "record phase charged" true
+    (s Fastsim_obs.Profile.Record > 0.);
+  check Alcotest.bool "detailed phase charged" true
+    (s Fastsim_obs.Profile.Detailed > 0.);
+  let sum =
+    List.fold_left (fun acc ph -> acc +. s ph) 0.
+      Fastsim_obs.Profile.all_phases
+  in
+  check Alcotest.bool "sum = total" true
+    (abs_float (sum -. Fastsim_obs.Profile.total p) < 1e-9)
 
 (* ---------------------------------------------------------------- *)
 (* JSON + exporters                                                  *)
@@ -629,6 +661,8 @@ let suite =
     Alcotest.test_case "registry kind mismatch" `Quick
       test_registry_kind_mismatch;
     Alcotest.test_case "profile phases" `Quick test_profile_phases;
+    Alcotest.test_case "profile: engine record phase" `Quick
+      test_profile_engine_record;
     Alcotest.test_case "json printer" `Quick test_json_printer;
     Alcotest.test_case "json \\u escape decoding" `Quick
       test_json_unicode_escapes;

@@ -124,6 +124,43 @@ let test_snapshot_roundtrip_every_cycle () =
         (Uarch.Snapshot.modeled_bytes key))
     snaps
 
+(* The pre-decoded program table: entries built from it carry the same
+   static operands as entries decoded one by one, share the table's
+   operand values, and fault on exactly the same addresses. *)
+let test_decoded_table () =
+  let d = Uarch.Pipeline.decode_program demo_prog in
+  let static_equal (a : Uarch.Pipeline.entry) (b : Uarch.Pipeline.entry) =
+    a.addr = b.addr
+    && Isa.Instr.equal a.insn b.insn
+    && a.fu = b.fu && a.srcs = b.srcs && a.dst = b.dst
+  in
+  let snaps, _, _, _ = run_detailed demo_prog in
+  List.iter
+    (fun key ->
+      let _, iq = Uarch.Snapshot.decode ~decoded:d demo_prog ~capacity:32 key in
+      Uarch.Pipeline.iteri
+        (fun i (e : Uarch.Pipeline.entry) ->
+          if
+            not
+              (static_equal e (Uarch.Pipeline.entry_of_addr demo_prog e.addr))
+          then Alcotest.failf "restored entry %d differs" i;
+          if e.srcs != (Uarch.Pipeline.entry_of_decoded d e.addr).srcs then
+            Alcotest.failf "restored entry %d does not share its operands" i)
+        iq)
+    snaps;
+  let base = demo_prog.Isa.Program.code_base in
+  let last = Isa.Program.last_addr demo_prog in
+  for addr = base - 8 to last + 8 do
+    match Uarch.Pipeline.entry_of_decoded d addr with
+    | e ->
+      if not (static_equal e (Uarch.Pipeline.entry_of_addr demo_prog addr))
+      then Alcotest.failf "table entry differs at 0x%x" addr
+    | exception Isa.Program.Fault _ -> (
+      match Uarch.Pipeline.entry_of_addr demo_prog addr with
+      | _ -> Alcotest.failf "only the table faults at 0x%x" addr
+      | exception Isa.Program.Fault _ -> ())
+  done
+
 (* Determinism: re-running the detailed simulator from scratch with the
    recorded outcome log reproduces the identical snapshot trace. This is
    the property fast-forwarding rests on. *)
@@ -318,6 +355,7 @@ let suite =
     Alcotest.test_case "deterministic from outcomes" `Quick
       test_determinism_from_outcomes;
     Alcotest.test_case "restore mid-run" `Quick test_restore_mid_run;
+    Alcotest.test_case "pre-decoded program table" `Quick test_decoded_table;
     Alcotest.test_case "fresh snapshot shape" `Quick
       test_fresh_snapshot_shape;
     Alcotest.test_case "retire bound" `Quick test_retire_bound;
