@@ -732,9 +732,41 @@ let emu_rates () =
   ( float_of_int !plain_n /. !plain_s /. 1e6,
     float_of_int !rec_n /. !rec_s /. 1e6 )
 
+(* Cache-simulator throughput in accesses per second: a fixed seeded
+   stream through [Hierarchy.load]/[store] on the default (Table 1)
+   hierarchy. One access in four is a store; three in four go to a hot
+   32 KB region (twice the L1: hits, misses, merged misses), the rest
+   over 4 MB (L2 misses and write-backs); [now] advances 0-3 cycles per
+   access. *)
+let cachesim_rate () =
+  let n = if !quick then 300_000 else 3_000_000 in
+  let st = Random.State.make [| 1998 |] in
+  let addrs =
+    Array.init n (fun _ ->
+        if Random.State.int st 4 > 0 then Random.State.int st 0x8000
+        else Random.State.int st 0x400000)
+  in
+  let stores = Array.init n (fun _ -> Random.State.int st 4 = 0) in
+  let (), dt =
+    time_best (fun () ->
+        let c = Cachesim.Hierarchy.create () in
+        let now = ref 0 in
+        for i = 0 to n - 1 do
+          now := !now + (i land 3);
+          if stores.(i) then
+            Cachesim.Hierarchy.store c ~now:!now ~addr:addrs.(i)
+          else
+            ignore
+              (Sys.opaque_identity
+                 (Cachesim.Hierarchy.load c ~now:!now ~addr:addrs.(i)))
+        done)
+  in
+  float_of_int n /. dt
+
 let hotpath () =
   header "Hot path: zero-allocation interning and warm replay throughput";
   let emu_plain, emu_record = emu_rates () in
+  let cache_rate = cachesim_rate () in
   let prog = (Workloads.Suite.find "go").build 2 in
   let uarch = busy_uarch prog in
   let pcache = Memo.Pcache.create () in
@@ -855,6 +887,7 @@ let hotpath () =
   Printf.printf "emulator (plain):       %14.1f Minst/s\n" emu_plain;
   Printf.printf "emulator (recording):   %14.1f Minst/s (%.2fx plain)\n"
     emu_record (emu_record /. emu_plain);
+  Printf.printf "cachesim:               %14.0f accesses/s\n" cache_rate;
   Printf.printf "encode+lookup (arena):  %14.0f ops/s\n" encode_lookup;
   Printf.printf "encode+intern (string): %14.0f ops/s\n" string_intern;
   Printf.printf "warm replay:            %14.0f groups/s  (%d groups, %.3f s)\n"
@@ -871,6 +904,7 @@ let hotpath () =
   hotpath_stats :=
     [ ("emu_functional_minst_per_s", emu_plain);
       ("emu_record_minst_per_s", emu_record);
+      ("cachesim_accesses_per_s", cache_rate);
       ("encode_lookup_ops_per_sec", encode_lookup);
       ("string_intern_ops_per_sec", string_intern);
       ("replay_groups_per_sec", replay_rate);

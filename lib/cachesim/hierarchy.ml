@@ -19,7 +19,7 @@ type t = {
   l2 : Setassoc.t;
   l1_mshr : int array;  (* cycle at which each MSHR becomes free *)
   l2_mshr : int array;
-  fills : (int, int) Hashtbl.t;  (* L1 line -> cycle its fill completes *)
+  fills : Int_table.t;  (* L1 line -> cycle its fill completes *)
   mutable bus_free : int;
   mutable loads : int;
   mutable stores : int;
@@ -43,7 +43,7 @@ let create ?(config = Config.default) ?trace ?metrics () =
     l2 = Setassoc.create ~size:c.l2_size ~ways:c.l2_ways ~line:c.l2_line;
     l1_mshr = Array.make c.l1_mshrs 0;
     l2_mshr = Array.make c.l2_mshrs 0;
-    fills = Hashtbl.create 32;
+    fills = Int_table.create ();
     bus_free = 0;
     loads = 0;
     stores = 0;
@@ -54,17 +54,19 @@ let create ?(config = Config.default) ?trace ?metrics () =
     writebacks = 0;
     merged_misses = 0 }
 
-let emit t ts name args =
-  match t.trace with
-  | None -> ()
-  | Some tr ->
-    Fastsim_obs.Trace.emit tr
-      (Fastsim_obs.Event.instant ~ts ~cat:"cache" ~args name)
+(* Callers match on [t.trace] first, so an untraced access never builds
+   the argument list. *)
+let emit tr ts name args =
+  Fastsim_obs.Trace.emit tr
+    (Fastsim_obs.Event.instant ~ts ~cat:"cache" ~args name)
 
 let observe_miss t latency =
   match t.h_miss_latency with
   | None -> ()
   | Some h -> Fastsim_obs.Metrics.observe h latency
+
+(* [Stdlib.max] compares polymorphically, through a C call. *)
+let imax (a : int) b = if a >= b then a else b
 
 (* Index of the MSHR that frees earliest. *)
 let earliest_mshr arr =
@@ -82,34 +84,36 @@ let l2_transfer t = t.cfg.l2_line / t.cfg.bus_width
    L1 and L2 line sizes may differ (the L2 indexes with its own). *)
 let l2_access t ~start ~addr ~dirty =
   let line2 = Setassoc.line_addr t.l2 addr in
-  if Setassoc.touch t.l2 line2 then begin
+  if Setassoc.access t.l2 line2 ~dirty then begin
     t.l2_hits <- t.l2_hits + 1;
-    if dirty then Setassoc.set_dirty t.l2 line2;
-    let bus_start = max (start + t.cfg.l2_hit_latency) t.bus_free in
+    let bus_start = imax (start + t.cfg.l2_hit_latency) t.bus_free in
     let ready = bus_start + l1_transfer t in
     t.bus_free <- ready;
     ready
   end
   else begin
     t.l2_misses <- t.l2_misses + 1;
-    emit t start "l2_miss" [ ("addr", Fastsim_obs.Json.Int addr) ];
+    (match t.trace with
+     | None -> ()
+     | Some tr ->
+       emit tr start "l2_miss" [ ("addr", Fastsim_obs.Json.Int addr) ]);
     let m = earliest_mshr t.l2_mshr in
-    let start = max start t.l2_mshr.(m) in
+    let start = imax start t.l2_mshr.(m) in
     (* Request beat on the split-transaction bus, then memory, then the
        response transfer (a full L2 line from memory; the L1's slice
        forwards to the L1). *)
-    let req = max (start + t.cfg.l2_hit_latency) t.bus_free in
+    let req = imax (start + t.cfg.l2_hit_latency) t.bus_free in
     t.bus_free <- req + 1;
     let data = req + 1 + t.cfg.mem_latency in
-    let resp = max data t.bus_free in
+    let resp = imax data t.bus_free in
     let ready = resp + l2_transfer t in
     t.bus_free <- ready;
-    let { Setassoc.evicted = _; evicted_dirty } =
-      Setassoc.fill t.l2 line2 ~dirty
-    in
-    if evicted_dirty then begin
+    if Setassoc.fill t.l2 line2 ~dirty then begin
       t.writebacks <- t.writebacks + 1;
-      emit t start "writeback" [ ("addr", Fastsim_obs.Json.Int addr) ];
+      (match t.trace with
+       | None -> ()
+       | Some tr ->
+         emit tr start "writeback" [ ("addr", Fastsim_obs.Json.Int addr) ]);
       t.bus_free <- t.bus_free + l2_transfer t
     end;
     t.l2_mshr.(m) <- ready;
@@ -122,20 +126,24 @@ let load t ~now ~addr =
   (* The tag is installed when a miss is issued, but its data arrives only
      when the fill completes: a load in between merges with the
      outstanding fill (MSHR hit) instead of hitting. *)
-  match Hashtbl.find_opt t.fills line with
-  | Some ready when ready > now ->
+  let ready = Int_table.find t.fills line ~default:min_int in
+  if ready > now then begin
     t.l1_misses <- t.l1_misses + 1;
     t.merged_misses <- t.merged_misses + 1;
     ignore (Setassoc.touch t.l1 line : bool);
     let latency = ready - now in
-    emit t now "l1_miss"
-      [ ("addr", Fastsim_obs.Json.Int addr);
-        ("latency", Fastsim_obs.Json.Int latency);
-        ("merged", Fastsim_obs.Json.Bool true) ];
+    (match t.trace with
+     | None -> ()
+     | Some tr ->
+       emit tr now "l1_miss"
+         [ ("addr", Fastsim_obs.Json.Int addr);
+           ("latency", Fastsim_obs.Json.Int latency);
+           ("merged", Fastsim_obs.Json.Bool true) ]);
     observe_miss t latency;
     latency
-  | _ ->
-    Hashtbl.remove t.fills line;
+  end
+  else begin
+    Int_table.remove t.fills line;
     if Setassoc.touch t.l1 line then begin
       t.l1_hits <- t.l1_hits + 1;
       t.cfg.l1_hit_latency
@@ -143,19 +151,23 @@ let load t ~now ~addr =
     else begin
       t.l1_misses <- t.l1_misses + 1;
       let m = earliest_mshr t.l1_mshr in
-      let start = max (now + t.cfg.l1_miss_penalty) t.l1_mshr.(m) in
+      let start = imax (now + t.cfg.l1_miss_penalty) t.l1_mshr.(m) in
       let ready = l2_access t ~start ~addr ~dirty:false in
-      ignore (Setassoc.fill t.l1 line ~dirty:false : Setassoc.fill_result);
-      Hashtbl.replace t.fills line ready;
+      ignore (Setassoc.fill t.l1 line ~dirty:false : bool);
+      Int_table.replace t.fills line ready;
       t.l1_mshr.(m) <- ready;
-      let latency = max 1 (ready - now) in
-      emit t now "l1_miss"
-        [ ("addr", Fastsim_obs.Json.Int addr);
-          ("latency", Fastsim_obs.Json.Int latency);
-          ("merged", Fastsim_obs.Json.Bool false) ];
+      let latency = imax 1 (ready - now) in
+      (match t.trace with
+       | None -> ()
+       | Some tr ->
+         emit tr now "l1_miss"
+           [ ("addr", Fastsim_obs.Json.Int addr);
+             ("latency", Fastsim_obs.Json.Int latency);
+             ("merged", Fastsim_obs.Json.Bool false) ]);
       observe_miss t latency;
       latency
     end
+  end
 
 let store t ~now ~addr =
   t.stores <- t.stores + 1;
@@ -163,12 +175,15 @@ let store t ~now ~addr =
   if Setassoc.touch t.l1 line then t.l1_hits <- t.l1_hits + 1
   else begin
     t.l1_misses <- t.l1_misses + 1;
-    emit t now "l1_miss"
-      [ ("addr", Fastsim_obs.Json.Int addr);
-        ("store", Fastsim_obs.Json.Bool true) ]
+    match t.trace with
+    | None -> ()
+    | Some tr ->
+      emit tr now "l1_miss"
+        [ ("addr", Fastsim_obs.Json.Int addr);
+          ("store", Fastsim_obs.Json.Bool true) ]
   end;
   (* Write-through: one bus beat to L2 via the write buffer. *)
-  t.bus_free <- max t.bus_free now + 1;
+  t.bus_free <- imax t.bus_free now + 1;
   ignore (l2_access t ~start:now ~addr ~dirty:true : int)
 
 let stats t =
@@ -219,7 +234,7 @@ let capture t ~now : state =
     a
   in
   let fills = ref [] in
-  Hashtbl.iter
+  Int_table.iter
     (fun line ready -> if ready > now then fills := (line, ready - now) :: !fills)
     t.fills;
   let fills = Array.of_list !fills in
@@ -237,13 +252,15 @@ let restore t ~now (s : state) =
   Setassoc.load t.l2 s.h_l2;
   let abs dst src =
     if Array.length src <> Array.length dst then
-      invalid_arg "Hierarchy.load: geometry";
+      invalid_arg "Hierarchy.restore: geometry";
     Array.iteri (fun i v -> dst.(i) <- now + v) src
   in
   abs t.l1_mshr s.h_l1_mshr;
   abs t.l2_mshr s.h_l2_mshr;
-  Hashtbl.reset t.fills;
-  Array.iter (fun (line, r) -> Hashtbl.replace t.fills line (now + r)) s.h_fills;
+  Int_table.reset t.fills;
+  Array.iter
+    (fun (line, r) -> Int_table.replace t.fills line (now + r))
+    s.h_fills;
   t.bus_free <- now + s.h_bus_free;
   t.loads <- s.h_stats.loads;
   t.stores <- s.h_stats.stores;

@@ -8,8 +8,6 @@ type t = {
   mutable tick : int;
 }
 
-type fill_result = { evicted : int option; evicted_dirty : bool }
-
 let log2 n =
   let rec go k v = if v <= 1 then k else go (k + 1) (v lsr 1) in
   go 0 n
@@ -33,28 +31,33 @@ let set_of t addr = (addr lsr t.line_bits) land t.set_mask
 let tag_of t addr = addr lsr t.line_bits
 let sets t = t.set_mask + 1
 
+(* Index of the way holding [addr]'s line, or -1. *)
 let find t addr =
-  let s = set_of t addr and tag = tag_of t addr in
-  let base = s * t.ways in
-  let rec go w =
-    if w >= t.ways then None
-    else if t.tags.(base + w) = tag then Some (base + w)
-    else go (w + 1)
-  in
-  go 0
+  let tag = tag_of t addr in
+  let base = set_of t addr * t.ways in
+  let last = base + t.ways in
+  let i = ref base in
+  while !i < last && t.tags.(!i) <> tag do
+    incr i
+  done;
+  if !i < last then !i else -1
 
-let probe t addr = find t addr <> None
+let probe t addr = find t addr >= 0
 
-let touch t addr =
-  match find t addr with
-  | Some i ->
+let access t addr ~dirty =
+  let i = find t addr in
+  if i >= 0 then begin
     t.tick <- t.tick + 1;
     t.stamp.(i) <- t.tick;
+    if dirty then t.dirty.(i) <- true;
     true
-  | None -> false
+  end
+  else false
+
+let touch t addr = access t addr ~dirty:false
 
 let fill t addr ~dirty =
-  assert (find t addr = None);
+  assert (find t addr < 0);
   let s = set_of t addr and tag = tag_of t addr in
   let base = s * t.ways in
   (* Choose an invalid way if one exists, else the LRU way. *)
@@ -66,20 +69,12 @@ let fill t addr ~dirty =
     then victim := i
   done;
   let v = !victim in
-  let result =
-    if t.tags.(v) = -1 then { evicted = None; evicted_dirty = false }
-    else
-      { evicted = Some (t.tags.(v) lsl t.line_bits);
-        evicted_dirty = t.dirty.(v) }
-  in
+  let evicted_dirty = t.tags.(v) <> -1 && t.dirty.(v) in
   t.tags.(v) <- tag;
   t.dirty.(v) <- dirty;
   t.tick <- t.tick + 1;
   t.stamp.(v) <- t.tick;
-  result
-
-let set_dirty t addr =
-  match find t addr with Some i -> t.dirty.(i) <- true | None -> ()
+  evicted_dirty
 
 let invalidate_all t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

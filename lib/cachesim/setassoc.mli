@@ -6,12 +6,6 @@
 
 type t
 
-type fill_result = {
-  evicted : int option;
-      (** Line-aligned byte address of an evicted line, if any. *)
-  evicted_dirty : bool;
-}
-
 val create : size:int -> ways:int -> line:int -> t
 (** Sizes must be powers of two with [size] divisible by [ways * line]. *)
 
@@ -21,11 +15,14 @@ val probe : t -> int -> bool
 val touch : t -> int -> bool
 (** Tag check; on a hit, updates LRU state and returns true. *)
 
-val fill : t -> int -> dirty:bool -> fill_result
-(** Allocates the line (which must currently miss), evicting the LRU way. *)
+val access : t -> int -> dirty:bool -> bool
+(** {!touch} that also marks a resident line dirty when [dirty] holds
+    (a clean access leaves the dirty bit as it was). *)
 
-val set_dirty : t -> int -> unit
-(** Marks a resident line dirty (no-op if the line is absent). *)
+val fill : t -> int -> dirty:bool -> bool
+(** Allocates the line (which must currently miss), evicting the LRU way.
+    Returns whether the evicted line was dirty (false when an invalid way
+    was filled). *)
 
 val line_addr : t -> int -> int
 (** Line-aligns an address. *)

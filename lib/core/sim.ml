@@ -90,7 +90,7 @@ let translate counters (ev : Emu.Emulator.control) : Uarch.Oracle.ctl_outcome
     let mispredicted = taken <> predicted_taken in
     counters.n_cond <- counters.n_cond + 1;
     if mispredicted then counters.n_mispred <- counters.n_mispred + 1;
-    Uarch.Oracle.C_cond { taken; mispredicted }
+    Uarch.Oracle.cond ~taken ~mispredicted
   | Emu.Emulator.Indirect { target; predicted; _ } ->
     let hit = predicted = Some target in
     counters.n_ind <- counters.n_ind + 1;
@@ -101,12 +101,12 @@ let translate counters (ev : Emu.Emulator.control) : Uarch.Oracle.ctl_outcome
 let live_oracle emu cache counters : Uarch.Oracle.t =
   { cache_load =
       (fun ~now ->
-        let l = Emu.Emulator.pop_load emu in
-        Cachesim.Hierarchy.load cache ~now ~addr:l.Emu.Emulator.l_addr);
+        Cachesim.Hierarchy.load cache ~now
+          ~addr:(Emu.Emulator.pop_load_addr emu));
     cache_store =
       (fun ~now ->
-        let s = Emu.Emulator.pop_store emu in
-        Cachesim.Hierarchy.store cache ~now ~addr:s.Emu.Emulator.s_addr);
+        Cachesim.Hierarchy.store cache ~now
+          ~addr:(Emu.Emulator.pop_store_addr emu));
     fetch_control =
       (fun () -> translate counters (Emu.Emulator.next_event emu));
     rollback =
@@ -1610,9 +1610,8 @@ module Spec = struct
      a decoded spec always has them unset. Decoding overlays the present
      fields onto {!default} and rejects unknown and duplicate keys, so a
      typo in a manifest fails loudly rather than silently running the
-     default. The [Result]-returning decoders are the primary forms (the
-     serve daemon, manifests and fuzz artifacts all decode untrusted
-     input); the raising versions are deprecated thin wrappers.
+     default. The decoders return [Result]s: the serve daemon, manifests
+     and fuzz artifacts all decode untrusted input.
 
      Versioning: documents carry a "version" field. Version 1 (or an
      absent field — every pre-versioning document) is the original wire
@@ -1931,11 +1930,6 @@ module Spec = struct
                      ("default", J.Str s.sf_default);
                      ("doc", J.Str s.sf_doc) ])
                schema) ) ]
-
-  let unwrap = function Ok v -> v | Error m -> failwith m
-  let params_of_json j = unwrap (params_of_json_result j)
-  let cache_config_of_json j = unwrap (cache_config_of_json_result j)
-  let of_json j = unwrap (of_json_result j)
 end
 
 (* ---------------------------------------------------------------- *)

@@ -150,10 +150,11 @@ type engine = [ `Fast | `Slow | `Baseline ]
     ]}
 
     The record splits into a {e serialisable} part (params, cache_config,
-    predictor, max_cycles, policy — see {!Spec.to_json}/{!Spec.of_json})
-    that sweep manifests and reports use to identify a configuration, and
-    a {e runtime-only} part (pcache, obs, observer) that cannot cross a
-    process boundary and is never serialised. *)
+    predictor, max_cycles, policy — see {!Spec.to_json} and
+    {!Spec.of_json_result}) that sweep manifests and reports use to
+    identify a configuration, and a {e runtime-only} part (pcache, obs,
+    observer) that cannot cross a process boundary and is never
+    serialised. *)
 module Spec : sig
   type observer =
     int -> Uarch.Detailed.t -> Uarch.Detailed.cycle_result -> unit
@@ -239,17 +240,6 @@ module Spec : sig
   val cache_config_of_json_result :
     Fastsim_obs.Json.t -> (Cachesim.Config.t, string) Stdlib.result
 
-  val of_json : Fastsim_obs.Json.t -> t
-    [@@deprecated "use of_json_result"]
-  (** Raising wrapper over {!of_json_result}: raises [Failure] with the
-      same message. Deprecated — new code should handle the [Result]. *)
-
-  val params_of_json : Fastsim_obs.Json.t -> Uarch.Params.t
-    [@@deprecated "use params_of_json_result"]
-
-  val cache_config_of_json : Fastsim_obs.Json.t -> Cachesim.Config.t
-    [@@deprecated "use cache_config_of_json_result"]
-
   (** {2 Self-describing schema}
 
       One {!schema_field} per JSON path the decoders accept, used by
@@ -306,7 +296,7 @@ val run : ?strategy:strategy -> engine:engine -> Spec.t -> Isa.Program.t -> resu
     is real.
 
     For [`Fast], [Spec.pcache] starts from (and extends) an existing
-    p-action cache — e.g. one restored with {!Memo.Persist.load} for the
+    p-action cache — e.g. one restored with {!Memo.Persist.Codec.load} for the
     same program — and ignores [Spec.policy].
 
     [Spec.obs] attaches the observability layer to either timing engine:

@@ -780,8 +780,9 @@ type stepped = {
   s_store : store_rec option;
 }
 
-let load_of v = { l_addr = v lsr 4; l_width = v land 15 }
-let store_of v = { s_addr = v lsr 4; s_width = v land 15 }
+let addr_of v = v lsr 4
+let load_of v = { l_addr = addr_of v; l_width = v land 15 }
+let store_of v = { s_addr = addr_of v; s_width = v land 15 }
 
 let step_one t =
   if t.halted_f then
@@ -842,6 +843,8 @@ let rollback_to t ~index =
   if t.read_ahead then prime t;
   corrected
 
+let pop_load_addr t = addr_of (Seq_queue.pop t.lq)
+let pop_store_addr t = addr_of (Seq_queue.pop t.sq)
 let pop_load t = load_of (Seq_queue.pop t.lq)
 let pop_store t = store_of (Seq_queue.pop t.sq)
 let loads_pending t = Seq_queue.length t.lq

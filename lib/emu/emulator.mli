@@ -84,6 +84,13 @@ val pop_load : t -> load_rec
 
 val pop_store : t -> store_rec
 
+val pop_load_addr : t -> int
+(** {!pop_load} returning only the address, without allocating: what the
+    cache simulator needs on the replay hot path. *)
+
+val pop_store_addr : t -> int
+(** Likewise for {!pop_store}. *)
+
 val loads_pending : t -> int
 val stores_pending : t -> int
 

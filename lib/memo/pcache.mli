@@ -155,7 +155,7 @@ val iter_chain : (Action.node -> unit) -> Action.node -> unit
 val install_group :
   t -> Action.config -> silent:int -> retired:int -> classes:int array ->
   first:Action.node -> unit
-(** Low-level constructor used by {!Persist.load}: attaches a prebuilt
+(** Low-level constructor used by {!Persist.Codec.load}: attaches a prebuilt
     action chain to a group-less configuration and accounts its size.
     Raises {!Determinism_violation} if the configuration already has a
     group. *)

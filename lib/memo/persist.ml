@@ -748,11 +748,3 @@ module Codec = struct
           let ic = Unix.in_channel_of_descr fd in
           load ?policy ?store ~program ic)
 end
-
-(* ---- deprecated raw entry points (see persist.mli) ------------------- *)
-
-let save pc ~program oc = Codec.save pc ~program oc
-let load ?policy ~program ic = Codec.load ?policy ~program ic
-let load_string ?policy ~program s = Codec.load_string ?policy ~program s
-let save_file pc ~program path = Codec.save_file pc ~program path
-let load_file ?policy ~program path = Codec.load_file ?policy ~program path

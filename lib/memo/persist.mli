@@ -12,9 +12,7 @@
     keys embed instruction addresses and are only meaningful against the
     program that produced them.
 
-    All versioned entry points live in {!Codec}; the raw top-level
-    [save]/[load] functions are deprecated aliases for the current
-    codec. *)
+    All entry points live in {!Codec}. *)
 
 exception Format_error of string
 
@@ -90,24 +88,6 @@ module Codec : sig
       stdio buffers (the kernel pages the file in lazily). Falls back to
       a plain read where [mmap] is unavailable. *)
 end
-
-val save : Pcache.t -> program:Isa.Program.t -> out_channel -> unit
-[@@deprecated "use Memo.Persist.Codec.save"]
-
-val load : ?policy:Pcache.policy -> program:Isa.Program.t -> in_channel ->
-  Pcache.t
-[@@deprecated "use Memo.Persist.Codec.load"]
-
-val load_string : ?policy:Pcache.policy -> program:Isa.Program.t -> string ->
-  Pcache.t
-[@@deprecated "use Memo.Persist.Codec.load_string"]
-
-val save_file : Pcache.t -> program:Isa.Program.t -> string -> unit
-[@@deprecated "use Memo.Persist.Codec.save_file"]
-
-val load_file : ?policy:Pcache.policy -> program:Isa.Program.t -> string ->
-  Pcache.t
-[@@deprecated "use Memo.Persist.Codec.load_file"]
 
 val program_digest : Isa.Program.t -> string
 (** Digest used for the program check (exposed for tests).

@@ -3,11 +3,6 @@ type result =
   | Replay_halted
   | Replay_budget of Action.config
 
-type group_step =
-  | G_next of Action.config
-  | G_halt
-  | G_diverge of Action.item list
-
 (* Test-only fault injection (docs/FUZZ.md): when the environment variable
    FASTSIM_REPLAY_FAULT_EVERY is a positive integer n, every n-th fully
    replayed group charges one extra cycle. This deliberately breaks the
@@ -19,6 +14,16 @@ let fault_period () =
   match Sys.getenv_opt "FASTSIM_REPLAY_FAULT_EVERY" with
   | None | Some "" -> 0
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 0)
+
+let add_classes classes delta =
+  for i = 0 to Array.length delta - 1 do
+    classes.(i) <- classes.(i) + delta.(i)
+  done
+
+(* Codes returned by the plain chain walk. *)
+let step_next = 0
+let step_halt = 1
+let step_diverge = 2
 
 let run ?(max_cycles = max_int) ?(max_retired = max_int) ?trace ?metrics
     ?fault_every pc (stats : Stats.t) ~(oracle : Uarch.Oracle.t) ~cycle
@@ -66,20 +71,27 @@ let run ?(max_cycles = max_int) ?(max_retired = max_int) ?trace ?metrics
      | Some _ | None -> ());
     Stats.end_episode stats
   in
-  let group_done ~silent ~retired =
-    match trace with
-    | None -> ()
-    | Some tr ->
-      Fastsim_obs.Trace.emit tr
-        (Fastsim_obs.Event.instant ~ts:!cycle ~cat:"memo" "group_replayed"
-           ~args:
-             [ ("silent", Fastsim_obs.Json.Int silent);
-               ("retired", Fastsim_obs.Json.Int retired) ]);
-      Fastsim_obs.Trace.emit tr
-        (Fastsim_obs.Event.counter ~ts:!cycle ~cat:"engine" "retired"
-           (stats.Stats.detailed_retired + stats.Stats.replayed_retired))
+  (* Called only when a trace is attached, so an untraced run never
+     builds the event arguments. *)
+  let group_done tr ~silent ~retired =
+    Fastsim_obs.Trace.emit tr
+      (Fastsim_obs.Event.instant ~ts:!cycle ~cat:"memo" "group_replayed"
+         ~args:
+           [ ("silent", Fastsim_obs.Json.Int silent);
+             ("retired", Fastsim_obs.Json.Int retired) ]);
+    Fastsim_obs.Trace.emit tr
+      (Fastsim_obs.Event.counter ~ts:!cycle ~cat:"engine" "retired"
+         (stats.Stats.detailed_retired + stats.Stats.replayed_retired))
   in
-  let fault_every = Option.value fault_every ~default:(fault_period ()) in
+  (* A match, not [Option.value ~default], so the environment is read
+     only when the caller passes no period. *)
+  let fault_every =
+    match fault_every with Some n -> n | None -> fault_period ()
+  in
+  (* The live outcomes consumed by a diverging group, including the
+     diverging one. Built only when a divergence happens: up to that
+     point every recorded item equals its live counterpart. *)
+  let prefix = ref [] in
   let cur = ref start in
   let result = ref None in
   (* ---- stride replay (docs/INTERNALS.md "Hot path") ----------------
@@ -89,38 +101,44 @@ let run ?(max_cycles = max_int) ?(max_retired = max_int) ?trace ?metrics
      budget truncation, note_action counts — matches what plain replay
      of the uncompacted run would do, so statistics are bit-identical. *)
   (* Re-perform one segment's recorded items against the live oracle.
-     Returns [`Ok] or the consumed outcomes (live values, including the
-     diverging one) exactly as the plain walk builds its prefix. *)
-  let perform_ops ops now =
-    let prefix = ref [] in
-    let n = Array.length ops in
-    let i = ref 0 in
-    let diverged = ref false in
-    while (not !diverged) && !i < n do
-      (match ops.(!i) with
-       | Action.I_load lat ->
-         let live = oracle.Uarch.Oracle.cache_load ~now in
-         prefix := Action.I_load live :: !prefix;
-         if Int.equal live lat then Stats.note_action stats
-         else diverged := true
-       | Action.I_store ->
-         oracle.Uarch.Oracle.cache_store ~now;
-         prefix := Action.I_store :: !prefix;
-         Stats.note_action stats
-       | Action.I_ctl c ->
-         let out = oracle.Uarch.Oracle.fetch_control () in
-         prefix := Action.I_ctl out :: !prefix;
-         if Action.ctl_equal out c then Stats.note_action stats
-         else diverged := true
-       | Action.I_rollback idx ->
-         oracle.Uarch.Oracle.rollback ~index:idx;
-         prefix := Action.I_rollback idx :: !prefix;
-         Stats.note_action stats);
-      incr i
-    done;
-    if !diverged then `Diverge (List.rev !prefix) else `Ok
+     Returns -1, or the index of the diverging item after setting
+     [prefix] to the items before it plus the live diverging outcome —
+     exactly what the plain walk reports. *)
+  let diverge_at ops i live =
+    let rec build k acc =
+      if k < 0 then acc else build (k - 1) (ops.(k) :: acc)
+    in
+    prefix := build (i - 1) [ live ];
+    i
   in
-  (* Whole-group charging, identical to the plain G_next/G_halt paths:
+  let rec perform_ops ops now i =
+    if i >= Array.length ops then -1
+    else
+      match ops.(i) with
+      | Action.I_load lat ->
+        let live = oracle.Uarch.Oracle.cache_load ~now in
+        if Int.equal live lat then begin
+          Stats.note_action stats;
+          perform_ops ops now (i + 1)
+        end
+        else diverge_at ops i (Action.I_load live)
+      | Action.I_store ->
+        oracle.Uarch.Oracle.cache_store ~now;
+        Stats.note_action stats;
+        perform_ops ops now (i + 1)
+      | Action.I_ctl c ->
+        let out = oracle.Uarch.Oracle.fetch_control () in
+        if Action.ctl_equal out c then begin
+          Stats.note_action stats;
+          perform_ops ops now (i + 1)
+        end
+        else diverge_at ops i (Action.I_ctl out)
+      | Action.I_rollback idx ->
+        oracle.Uarch.Oracle.rollback ~index:idx;
+        Stats.note_action stats;
+        perform_ops ops now (i + 1)
+  in
+  (* Whole-group charging, identical to the plain walk's next/halt paths:
      one boundary note_action (the goto/halt/segment boundary the plain
      chain would have walked), the same fault-injection skew formula, the
      same cycle advance. *)
@@ -137,21 +155,22 @@ let run ?(max_cycles = max_int) ?(max_retired = max_int) ?trace ?metrics
     stats.replayed_cycles <- stats.replayed_cycles + silent + 1;
     stats.replayed_retired <- stats.replayed_retired + retired;
     stats.groups_replayed <- stats.groups_replayed + 1;
-    Array.iteri (fun i v -> classes.(i) <- classes.(i) + v) seg_classes;
-    group_done ~silent ~retired
+    add_classes classes seg_classes;
+    match trace with None -> () | Some tr -> group_done tr ~silent ~retired
   in
   let replay_stride (cfg : Action.config) (g : Action.group)
       (s : Action.stride_node) =
     (* The owner group's budget was checked by the caller's guard. *)
-    match perform_ops s.Action.s_ops (!cycle + g.Action.g_silent) with
-    | `Diverge prefix ->
+    if perform_ops s.Action.s_ops (!cycle + g.Action.g_silent) 0 >= 0 then
+    begin
       (* Expand the whole run back into exact plain groups, then report
          the divergence against the owner — the detailed simulator merges
          into a plain chain, never into a stride. *)
       ignore (Pcache.expand_stride pc cfg : Action.config array);
       end_episode ();
-      result := Some (Diverged { config = cfg; prefix })
-    | `Ok ->
+      result := Some (Diverged { config = cfg; prefix = !prefix })
+    end
+    else begin
       charge_segment ~silent:g.Action.g_silent ~retired:g.Action.g_retired
         ~seg_classes:g.Action.g_classes;
       let nseg = Array.length s.Action.s_segs in
@@ -172,23 +191,24 @@ let run ?(max_cycles = max_int) ?(max_retired = max_int) ?trace ?metrics
           result := Some (Replay_budget seg.Action.sg_cfg);
           stopped := true
         end
+        else if
+          perform_ops seg.Action.sg_ops (!cycle + seg.Action.sg_silent) 0
+          >= 0
+        then begin
+          let resolved = Pcache.expand_stride pc cfg in
+          let target =
+            if !i < Array.length resolved then resolved.(!i)
+            else seg.Action.sg_cfg
+          in
+          end_episode ();
+          result := Some (Diverged { config = target; prefix = !prefix });
+          stopped := true
+        end
         else begin
-          match perform_ops seg.Action.sg_ops (!cycle + seg.Action.sg_silent)
-          with
-          | `Diverge prefix ->
-            let resolved = Pcache.expand_stride pc cfg in
-            let target =
-              if !i < Array.length resolved then resolved.(!i)
-              else seg.Action.sg_cfg
-            in
-            end_episode ();
-            result := Some (Diverged { config = target; prefix });
-            stopped := true
-          | `Ok ->
-            charge_segment ~silent:seg.Action.sg_silent
-              ~retired:seg.Action.sg_retired
-              ~seg_classes:seg.Action.sg_classes;
-            incr i
+          charge_segment ~silent:seg.Action.sg_silent
+            ~retired:seg.Action.sg_retired
+            ~seg_classes:seg.Action.sg_classes;
+          incr i
         end
       done;
       if not !stopped then begin
@@ -202,8 +222,73 @@ let run ?(max_cycles = max_int) ?(max_retired = max_int) ?trace ?metrics
             (Pcache.Determinism_violation
                "stride terminal must be goto or halt")
       end
+    end
   in
-  while !result = None do
+  (* Walk one group's chain, re-performing interactions live and
+     following the edge that matches each live outcome. Returns a step
+     code; [step_next] leaves the successor in [next_cfg]. Each matched
+     frame prepends its live item to [prefix] on the way back out of a
+     divergence, so nothing is consed while the chain matches. *)
+  let next_cfg = ref start in
+  let rec walk now node =
+    match node with
+    | Action.N_load ln ->
+      let lat = oracle.cache_load ~now in
+      walk_load now lat ln.Action.l_edges
+    | Action.N_store next ->
+      oracle.cache_store ~now;
+      Stats.note_action stats;
+      let step = walk now next in
+      if step = step_diverge then prefix := Action.I_store :: !prefix;
+      step
+    | Action.N_ctl cn ->
+      let out = oracle.fetch_control () in
+      walk_ctl now out cn.Action.c_edges
+    | Action.N_rollback (i, next) ->
+      oracle.rollback ~index:i;
+      Stats.note_action stats;
+      let step = walk now next in
+      if step = step_diverge then prefix := Action.I_rollback i :: !prefix;
+      step
+    | Action.N_halt ->
+      Stats.note_action stats;
+      step_halt
+    | Action.N_goto gn ->
+      Stats.note_action stats;
+      next_cfg := Pcache.resolve_goto pc gn;
+      step_next
+    | Action.N_stride _ ->
+      (* Strides only ever head a group's chain; the dispatch below
+         routes them to [replay_stride]. *)
+      raise (Pcache.Determinism_violation "stride node inside a chain")
+  (* Edge lookups compare with [Int.equal] and {!Action.ctl_equal}, never
+     polymorphic equality. *)
+  and walk_load now lat = function
+    | [] ->
+      prefix := [ Action.I_load lat ];
+      step_diverge
+    | (l, next) :: rest ->
+      if Int.equal l lat then begin
+        Stats.note_action stats;
+        let step = walk now next in
+        if step = step_diverge then prefix := Action.I_load lat :: !prefix;
+        step
+      end
+      else walk_load now lat rest
+  and walk_ctl now out = function
+    | [] ->
+      prefix := [ Action.I_ctl out ];
+      step_diverge
+    | (c, next) :: rest ->
+      if Action.ctl_equal c out then begin
+        Stats.note_action stats;
+        let step = walk now next in
+        if step = step_diverge then prefix := Action.I_ctl out :: !prefix;
+        step
+      end
+      else walk_ctl now out rest
+  in
+  while match !result with None -> true | Some _ -> false do
     let cfg = !cur in
     Pcache.touch pc cfg;
     match cfg.Action.cfg_group with
@@ -227,51 +312,7 @@ let run ?(max_cycles = max_int) ?(max_retired = max_int) ?trace ?metrics
     | Some ({ Action.g_first = Action.N_stride s; _ } as g) ->
       replay_stride cfg g s
     | Some g ->
-      let base = !cycle in
-      let now = base + g.Action.g_silent in
-      let prefix = ref [] in
-      let push item = prefix := item :: !prefix in
-      (* Walk this group's chain, re-performing interactions live. *)
-      let rec walk node =
-        match node with
-        | Action.N_load ln -> (
-          let lat = oracle.cache_load ~now in
-          push (Action.I_load lat);
-          match Action.load_edge lat ln.Action.l_edges with
-          | Some next ->
-            Stats.note_action stats;
-            walk next
-          | None -> G_diverge (List.rev !prefix))
-        | Action.N_store next ->
-          oracle.cache_store ~now;
-          push Action.I_store;
-          Stats.note_action stats;
-          walk next
-        | Action.N_ctl cn -> (
-          let out = oracle.fetch_control () in
-          push (Action.I_ctl out);
-          match Action.ctl_edge out cn.Action.c_edges with
-          | Some next ->
-            Stats.note_action stats;
-            walk next
-          | None -> G_diverge (List.rev !prefix))
-        | Action.N_rollback (i, next) ->
-          oracle.rollback ~index:i;
-          push (Action.I_rollback i);
-          Stats.note_action stats;
-          walk next
-        | Action.N_halt ->
-          Stats.note_action stats;
-          G_halt
-        | Action.N_goto gn ->
-          Stats.note_action stats;
-          G_next (Pcache.resolve_goto pc gn)
-        | Action.N_stride _ ->
-          (* Strides only ever head a group's chain; the dispatch above
-             routes them to [replay_stride]. *)
-          raise
-            (Pcache.Determinism_violation "stride node inside a chain")
-      in
+      let now = !cycle + g.Action.g_silent in
       let skew =
         (* see [fault_period] above; 0 unless fault injection is enabled *)
         if
@@ -280,34 +321,30 @@ let run ?(max_cycles = max_int) ?(max_retired = max_int) ?trace ?metrics
         then 1
         else 0
       in
-      (match walk g.Action.g_first with
-       | G_next target ->
-         cycle := now + 1 + skew;
-         stats.replayed_cycles <- stats.replayed_cycles + g.Action.g_silent + 1;
-         stats.replayed_retired <- stats.replayed_retired + g.Action.g_retired;
-         stats.groups_replayed <- stats.groups_replayed + 1;
-         Array.iteri
-           (fun i v -> classes.(i) <- classes.(i) + v)
-           g.Action.g_classes;
-         group_done ~silent:g.Action.g_silent ~retired:g.Action.g_retired;
-         cur := target
-       | G_halt ->
-         cycle := now + 1 + skew;
-         stats.replayed_cycles <- stats.replayed_cycles + g.Action.g_silent + 1;
-         stats.replayed_retired <- stats.replayed_retired + g.Action.g_retired;
-         stats.groups_replayed <- stats.groups_replayed + 1;
-         Array.iteri
-           (fun i v -> classes.(i) <- classes.(i) + v)
-           g.Action.g_classes;
-         group_done ~silent:g.Action.g_silent ~retired:g.Action.g_retired;
-         end_episode ();
-         result := Some Replay_halted
-       | G_diverge prefix ->
-         (* The cycle counter stays at the group start: the detailed
-            simulator re-simulates this group's cycles, consuming [prefix]
-            instead of re-performing its side effects. *)
-         end_episode ();
-         result := Some (Diverged { config = cfg; prefix }))
+      let step = walk now g.Action.g_first in
+      if step = step_diverge then begin
+        (* The cycle counter stays at the group start: the detailed
+           simulator re-simulates this group's cycles, consuming [prefix]
+           instead of re-performing its side effects. *)
+        end_episode ();
+        result := Some (Diverged { config = cfg; prefix = !prefix })
+      end
+      else begin
+        cycle := now + 1 + skew;
+        stats.replayed_cycles <- stats.replayed_cycles + g.Action.g_silent + 1;
+        stats.replayed_retired <- stats.replayed_retired + g.Action.g_retired;
+        stats.groups_replayed <- stats.groups_replayed + 1;
+        add_classes classes g.Action.g_classes;
+        (match trace with
+         | None -> ()
+         | Some tr ->
+           group_done tr ~silent:g.Action.g_silent ~retired:g.Action.g_retired);
+        if step = step_next then cur := !next_cfg
+        else begin
+          end_episode ();
+          result := Some Replay_halted
+        end
+      end
   done;
   (match h_episode with
    | Some h when !cycle > cycle0 ->

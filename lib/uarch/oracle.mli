@@ -22,6 +22,10 @@ type ctl_outcome =
           path faulted or reached [Halt] speculatively; fetch must stall
           until a rollback. *)
 
+val cond : taken:bool -> mispredicted:bool -> ctl_outcome
+(** [C_cond { taken; mispredicted }] as one of four shared, preallocated
+    values, so reporting a conditional outcome allocates nothing. *)
+
 type t = {
   cache_load : now:int -> int;
       (** Issue the oldest pending load to the cache simulator at cycle

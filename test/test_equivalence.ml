@@ -217,6 +217,37 @@ let test_obs_equivalence_all_kernels () =
            fast.Fastsim.Sim.final_state))
     Workloads.Suite.all
 
+(* A warm cache replays without allocating per action: a FastSim run
+   over a cache that needs no detailed simulation spends its whole
+   timed part in [Memo.Replay.run] and the live oracle behind it, so
+   its minor words divided by the replayed actions bound what one
+   action costs. Measured on tomcatv at test scale (34k actions):
+   22.4 words per action while the walk consed its divergence prefix
+   and the cache simulator, the lQ/sQ pops and the branch outcomes
+   allocated; 0.46 after (run setup, amortised). The gate sits
+   between the two. *)
+let test_warm_replay_allocation () =
+  let w = Workloads.Suite.find "tomcatv" in
+  let prog = w.Workloads.Workload.build w.Workloads.Workload.test_scale in
+  let pc = Memo.Pcache.create () in
+  let spec = Spec.with_pcache pc Spec.default in
+  let memo r = Option.get r.Fastsim.Sim.memo in
+  let rec warm k =
+    let m = memo (Fastsim.Sim.run ~engine:`Fast spec prog) in
+    if m.Memo.Stats.detailed_entries > 0 then
+      if k < 8 then warm (k + 1) else Alcotest.fail "cache never warmed"
+  in
+  warm 0;
+  let before = Gc.minor_words () in
+  let r = Fastsim.Sim.run ~engine:`Fast spec prog in
+  let words = Gc.minor_words () -. before in
+  let m = memo r in
+  check Alcotest.int "no detailed simulation" 0 m.Memo.Stats.detailed_entries;
+  let per_action = words /. float_of_int m.Memo.Stats.actions_replayed in
+  if per_action > 2.0 then
+    Alcotest.failf "%.0f minor words over %d replayed actions (%.2f each)"
+      words m.Memo.Stats.actions_replayed per_action
+
 let suite =
   List.map
     (fun (w : Workloads.Workload.t) ->
@@ -226,7 +257,9 @@ let suite =
   @ [ Alcotest.test_case "retired = functional + 1" `Quick
         test_retired_matches_functional;
       Alcotest.test_case "fast actually replays" `Quick
-        test_fast_actually_replays ]
+        test_fast_actually_replays;
+      Alcotest.test_case "warm replay allocates under 2 words per action"
+        `Quick test_warm_replay_allocation ]
   @ List.map
       (fun p ->
         Alcotest.test_case
